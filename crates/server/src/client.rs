@@ -99,6 +99,8 @@ impl Client {
     /// Connect over TCP and perform the `HELLO` handshake as `tenant`.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // Frames leave whole; Nagle would only delay them (see `write_frame`).
+        stream.set_nodelay(true)?;
         Self::over(Box::new(stream), tenant)
     }
 

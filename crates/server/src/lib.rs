@@ -47,6 +47,11 @@
 //! for the connection (the stream can no longer be trusted): the server
 //! best-effort sends [`protocol::ErrorCode::Protocol`] and closes.
 //!
+//! Both ends hand each frame to the transport in one write
+//! ([`protocol::write_frame`]) and set `TCP_NODELAY` on their sockets.
+//! Either half missing lets Nagle's algorithm hold a frame back until the
+//! peer's delayed ACK fires, which costs 40 ms per exchange on Linux.
+//!
 //! ## Requests (client → server)
 //!
 //! ```text

@@ -67,14 +67,24 @@ impl From<WireError> for ProtocolError {
     }
 }
 
-/// Write one frame (`len | fnv1a | payload`) and flush.
+/// Bytes of a frame header: `len u32` then `checksum u64`.
+pub const FRAME_HEADER_BYTES: usize = 12;
+
+/// Write one frame (`len | fnv1a | payload`) and flush, handing the
+/// transport header and payload together in a single `write_all`.
+///
+/// Over TCP a frame split into two writes stalls: the header goes out
+/// alone, Nagle's algorithm holds the payload until the header is
+/// acknowledged, and the peer — blocked reading that payload — delays its
+/// ACK by up to 40 ms. Both ends also set `TCP_NODELAY`, so a whole frame
+/// written while an earlier one is unacknowledged is not held back either.
 pub fn write_frame(w: &mut (impl Write + ?Sized), payload: &[u8]) -> io::Result<()> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME_BYTES);
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -84,7 +94,7 @@ pub fn write_frame(w: &mut (impl Write + ?Sized), payload: &[u8]) -> io::Result<
 /// EOF inside a frame, an out-of-range length and a checksum mismatch are
 /// all errors: a byte stream that tears mid-frame cannot be re-synced.
 pub fn read_frame(r: &mut (impl Read + ?Sized), buf: &mut Vec<u8>) -> Result<bool, ProtocolError> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; FRAME_HEADER_BYTES];
     // Distinguish clean EOF (zero header bytes) from a torn header.
     let mut got = 0;
     while got < header.len() {
@@ -681,10 +691,10 @@ mod tests {
             let mut cursor = io::Cursor::new(&bytes[..cut]);
             let mut buf = Vec::new();
             match read_frame(&mut cursor, &mut buf) {
-                Ok(true) if cut >= 12 + payload.len() => {} // first frame intact
+                Ok(true) if cut >= FRAME_HEADER_BYTES + payload.len() => {} // first frame intact
                 Ok(true) => panic!("cut {cut} decoded a torn frame"),
                 Ok(false) => panic!("cut {cut} looked like clean EOF"),
-                Err(_) => assert!(cut < 12 + payload.len(), "cut {cut}"),
+                Err(_) => assert!(cut < FRAME_HEADER_BYTES + payload.len(), "cut {cut}"),
             }
         }
 
@@ -700,6 +710,51 @@ mod tests {
         giant[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut cursor = io::Cursor::new(&giant);
         assert!(read_frame(&mut cursor, &mut Vec::new()).is_err());
+    }
+
+    /// A `Write` that records every `write` call it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_hands_the_transport_one_write_per_frame() {
+        let case = Request::Case {
+            job: 3,
+            seq: 1,
+            item: WorkItem {
+                id: "case_0001".into(),
+                source: "x".repeat(70_000),
+                lang: Lang::C,
+                model: DirectiveModel::OpenAcc,
+            },
+        };
+        for payload in [Request::Stats.encode(), case.encode()] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, vec![FRAME_HEADER_BYTES + payload.len()]);
+            assert_eq!(w.flushes, 1);
+
+            let mut buf = Vec::new();
+            assert!(read_frame(&mut &w.bytes[..], &mut buf).unwrap());
+            assert_eq!(buf, payload);
+        }
     }
 
     #[test]

@@ -648,6 +648,11 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Frames leave whole; Nagle would only delay them (see
+                // `write_frame`).
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || handle_connection(inner, Box::new(stream)));
             }

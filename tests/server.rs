@@ -19,7 +19,9 @@
 //!    seals the store: the directory fscks clean, the lockfile is
 //!    released, and a foreign live lock is refused at startup;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
-//!    the right tenant.
+//!    the right tenant;
+//! 7. **No transport stalls** — small jobs over TCP never wait on a
+//!    delayed ACK.
 //!
 //! Sizes scale with the profile (same idiom as `tests/end_to_end.rs`):
 //! debug runs stay tier-1 fast, release runs soak harder.
@@ -261,7 +263,7 @@ fn a_disconnect_mid_stream_cancels_only_that_tenant() {
 #[test]
 fn garbage_and_torn_frames_close_the_connection_without_wedging_the_server() {
     use std::io::Write as _;
-    use vv_server::protocol::{write_frame, Request, PROTOCOL_VERSION};
+    use vv_server::protocol::{write_frame, Request, FRAME_HEADER_BYTES, PROTOCOL_VERSION};
 
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr().expect("bound address");
@@ -282,7 +284,7 @@ fn garbage_and_torn_frames_close_the_connection_without_wedging_the_server() {
             tenant: "torn".into(),
         };
         write_frame(&mut stream, &hello.encode()).expect("hello frame");
-        let mut torn = vec![0u8; 12];
+        let mut torn = vec![0u8; FRAME_HEADER_BYTES];
         torn[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         stream.write_all(&torn).expect("torn header");
     }
@@ -438,6 +440,44 @@ fn the_stats_snapshot_accounts_every_served_case() {
     let rendered = snapshot.to_string();
     assert!(rendered.contains("accounting"), "{rendered}");
     assert!(rendered.contains("serving"), "{rendered}");
+
+    drop(client);
+    server.handle().shutdown();
+    server.join();
+}
+
+#[test]
+fn tcp_round_trips_never_wait_on_a_delayed_ack() {
+    // A frame written as two pieces, or Nagle's algorithm left on at
+    // either end, holds a frame back until the peer's delayed ACK fires
+    // (40 ms on Linux): every small job below would then take 40 ms or
+    // more. Unstalled, each takes a few milliseconds.
+    const STALL_MS: f64 = 40.0;
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("bound address");
+    let mut client = Client::connect(addr, "latency").expect("connect");
+    let items = corpus(DirectiveModel::OpenAcc, 0x1A7E, 4);
+    let mut job_ms = Vec::new();
+    // The first job builds the pooled service and is not timed.
+    for round in 0..=scale(15, 40) {
+        let start = std::time::Instant::now();
+        let run = client
+            .submit(JobSpec::default(), items.clone())
+            .expect("submit")
+            .into_run()
+            .expect("job");
+        assert_eq!(run.records.len(), items.len());
+        if round > 0 {
+            job_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    job_ms.sort_by(f64::total_cmp);
+    let median = job_ms[job_ms.len() / 2];
+    assert!(
+        median < STALL_MS / 2.0,
+        "TCP jobs look stalled: median {median:.1} ms over {} jobs",
+        job_ms.len()
+    );
 
     drop(client);
     server.handle().shutdown();
