@@ -2,10 +2,7 @@
 //! validation service.
 //!
 //! * `early_exit_vs_record_all` — how much work the early-exit rule saves;
-//! * `strategy_comparison` — staged pipeline vs sequential vs batch
-//!   parallel vs pipelined, all through the single `ValidationService`
-//!   entry point;
-//! * `worker_scaling` — throughput as the stage worker pools grow.
+//! * `worker_scaling` — throughput as the executor's worker count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -38,39 +35,20 @@ fn bench_early_exit(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_strategy_comparison(c: &mut Criterion) {
-    let workload = probed_workload(DirectiveModel::OpenMp, sizes::BENCH_SUITE, 505);
-    let mut group = c.benchmark_group("strategy_comparison");
-    configure(&mut group);
-    for strategy in ExecutionStrategy::ALL {
-        let service = ValidationService::builder()
-            .mode(PipelineMode::RecordAll)
-            .strategy(strategy)
-            .build();
-        group.bench_function(BenchmarkId::from_parameter(strategy.label()), |b| {
-            b.iter(|| criterion::black_box(service.run(workload.items.clone()).records.len()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_worker_scaling(c: &mut Criterion) {
     let workload = probed_workload(DirectiveModel::OpenAcc, sizes::BENCH_SUITE, 606);
     let mut group = c.benchmark_group("worker_scaling");
     configure(&mut group);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let service = ValidationService::builder().workers(w, w, w).build();
+            let service = ValidationService::builder()
+                .strategy(ExecutionStrategy::Pipelined { workers: w })
+                .build();
             b.iter(|| criterion::black_box(service.run(workload.items.clone()).records.len()));
         });
     }
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_early_exit,
-    bench_strategy_comparison,
-    bench_worker_scaling
-);
+criterion_group!(benches, bench_early_exit, bench_worker_scaling);
 criterion_main!(benches);

@@ -297,9 +297,7 @@ fn write_bench_point() {
     let e2e_n = if cfg!(debug_assertions) { 800 } else { 24_000 };
     let run_e2e = |fast: bool| -> f64 {
         let spec = probed_spec(model, e2e_n, 0xACC5);
-        let builder = ValidationService::builder()
-            .workers(4, 4, 2)
-            .channel_capacity(64);
+        let builder = ValidationService::builder().channel_capacity(64);
         let service = if fast {
             builder.build()
         } else {

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use llm4vv::campaign::ScenarioMatrix;
 use llm4vv::incremental::run_incremental_campaign;
-use vv_pipeline::ExecutionStrategy;
+use vv_judge::JudgeProfile;
 use vv_store::{fnv1a, kind, ArtifactStore, Journal};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -110,9 +110,9 @@ fn bench_store(c: &mut Criterion) {
 fn write_bench_point() {
     let size = if cfg!(debug_assertions) { 200 } else { 2_000 };
     let matrix = ScenarioMatrix::new(size)
-        .strategies(vec![
-            ExecutionStrategy::Staged,
-            ExecutionStrategy::Sequential,
+        .judge_profiles(vec![
+            JudgeProfile::deepseek_agent_direct(),
+            JudgeProfile::deepseek_agent_indirect(),
         ])
         .shards(2);
     let total = matrix.len() * size;

@@ -7,7 +7,6 @@
 //!
 //! * directive model (OpenACC / OpenMP),
 //! * judge prompt style (plain / agent-direct / agent-indirect),
-//! * execution strategy (staged / sequential / batch parallel / pipelined),
 //! * negative-probing fraction, and
 //! * judge calibration profile,
 //!
@@ -25,12 +24,15 @@
 //!
 //! ```no_run
 //! use llm4vv::campaign::{run_campaign, ScenarioMatrix};
-//! use llm4vv::pipeline::ExecutionStrategy;
 //! use llm4vv::dclang::DirectiveModel;
+//! use llm4vv::judge::JudgeProfile;
 //!
 //! let matrix = ScenarioMatrix::new(25_000)
 //!     .models(vec![DirectiveModel::OpenAcc, DirectiveModel::OpenMp])
-//!     .strategies(vec![ExecutionStrategy::Staged, ExecutionStrategy::RayonBatch])
+//!     .judge_profiles(vec![
+//!         JudgeProfile::deepseek_agent_direct(),
+//!         JudgeProfile::deepseek_agent_indirect(),
+//!     ])
 //!     .shards(4);
 //! let campaign = run_campaign(&matrix); // 4 scenarios x 25k cases
 //! println!("{}", campaign.comparison_table());
@@ -44,8 +46,8 @@ use rayon::prelude::*;
 use vv_dclang::DirectiveModel;
 use vv_judge::{JudgeProfile, PromptStyle};
 use vv_metrics::{Accumulator as _, LatencyTokenSummary, MetricsSink};
-use vv_pipeline::{ExecutionStrategy, PipelineMode, PipelineStats, ValidationService};
-use vv_probing::{CorpusSpec, ProbeConfig};
+use vv_pipeline::{CaseRecord, PipelineMode, PipelineStats, ValidationService};
+use vv_probing::{CorpusSpec, IssueKind, ProbeConfig};
 use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
@@ -62,8 +64,6 @@ pub struct Scenario {
     pub prompt_style: PromptStyle,
     /// Calibration profile of the judge stage.
     pub judge_profile: JudgeProfile,
-    /// Scheduling strategy of the validation service.
-    pub strategy: ExecutionStrategy,
     /// Fraction of the corpus mutated by negative probing.
     pub probe_fraction: f64,
     /// Unsharded corpus size.
@@ -76,9 +76,7 @@ pub struct Scenario {
     pub probe_seed: u64,
     /// Seed for the judge's decision layer.
     pub judge_seed: u64,
-    /// Worker counts for the compile / execute / judge pools.
-    pub workers: (usize, usize, usize),
-    /// Capacity of the service's bounded inter-stage channels.
+    /// Minimum in-flight window of the scenario's service.
     pub channel_capacity: usize,
 }
 
@@ -129,11 +127,8 @@ impl Scenario {
     }
 
     fn builder(&self) -> vv_pipeline::ValidationServiceBuilder {
-        let (compile, exec, judge) = self.workers;
         ValidationService::builder()
             .mode(PipelineMode::RecordAll)
-            .strategy(self.strategy)
-            .workers(compile, exec, judge)
             .channel_capacity(self.channel_capacity)
             .judge_style(self.prompt_style)
             .judge_profile(self.judge_profile.clone())
@@ -156,15 +151,6 @@ fn style_tag(style: PromptStyle) -> &'static str {
     }
 }
 
-fn strategy_tag(strategy: ExecutionStrategy) -> &'static str {
-    match strategy {
-        ExecutionStrategy::Staged => "staged",
-        ExecutionStrategy::Sequential => "seq",
-        ExecutionStrategy::RayonBatch => "perfile",
-        ExecutionStrategy::Pipelined { .. } => "pipelined",
-    }
-}
-
 fn profile_tag(profile: &JudgeProfile) -> &'static str {
     if profile.name.contains("LLMJ 1") {
         "llmj1"
@@ -180,14 +166,13 @@ fn profile_tag(profile: &JudgeProfile) -> &'static str {
 /// Builder enumerating scenarios over the cross product of its axes.
 ///
 /// Every axis defaults to a single value (OpenACC, agent-direct prompting,
-/// the staged strategy, the paper's 50% probe split, the LLMJ 1 profile),
-/// so setting one axis sweeps exactly that dimension. Axis order in the
-/// generated list: model, prompt style, strategy, probe fraction, profile.
+/// the paper's 50% probe split, the LLMJ 1 profile), so setting one axis
+/// sweeps exactly that dimension. Axis order in the generated list: model,
+/// prompt style, probe fraction, profile.
 #[derive(Clone, Debug)]
 pub struct ScenarioMatrix {
     models: Vec<DirectiveModel>,
     prompt_styles: Vec<PromptStyle>,
-    strategies: Vec<ExecutionStrategy>,
     probe_fractions: Vec<f64>,
     judge_profiles: Vec<JudgeProfile>,
     suite_size: usize,
@@ -195,7 +180,6 @@ pub struct ScenarioMatrix {
     corpus_seed: u64,
     probe_seed: u64,
     judge_seed: u64,
-    workers: (usize, usize, usize),
     channel_capacity: usize,
 }
 
@@ -206,7 +190,6 @@ impl ScenarioMatrix {
         Self {
             models: vec![DirectiveModel::OpenAcc],
             prompt_styles: vec![PromptStyle::AgentDirect],
-            strategies: vec![ExecutionStrategy::Staged],
             probe_fractions: vec![0.5],
             judge_profiles: vec![JudgeProfile::deepseek_agent_direct()],
             suite_size,
@@ -214,7 +197,6 @@ impl ScenarioMatrix {
             corpus_seed: 0xCA_3B_01,
             probe_seed: 0xCA_3B_02,
             judge_seed: 0xCA_3B_03,
-            workers: (4, 4, 2),
             channel_capacity: 64,
         }
     }
@@ -236,16 +218,6 @@ impl ScenarioMatrix {
             "the style axis needs at least one entry"
         );
         self.prompt_styles = styles;
-        self
-    }
-
-    /// Execution strategies to sweep.
-    pub fn strategies(mut self, strategies: Vec<ExecutionStrategy>) -> Self {
-        assert!(
-            !strategies.is_empty(),
-            "the strategy axis needs at least one entry"
-        );
-        self.strategies = strategies;
         self
     }
 
@@ -294,13 +266,7 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Worker counts for each scenario's compile / execute / judge pools.
-    pub fn workers(mut self, compile: usize, exec: usize, judge: usize) -> Self {
-        self.workers = (compile, exec, judge);
-        self
-    }
-
-    /// Channel capacity of each scenario's service.
+    /// Minimum in-flight window of each scenario's service.
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity;
         self
@@ -310,7 +276,6 @@ impl ScenarioMatrix {
     pub fn len(&self) -> usize {
         self.models.len()
             * self.prompt_styles.len()
-            * self.strategies.len()
             * self.probe_fractions.len()
             * self.judge_profiles.len()
     }
@@ -325,33 +290,28 @@ impl ScenarioMatrix {
         let mut scenarios = Vec::with_capacity(self.len());
         for &model in &self.models {
             for &prompt_style in &self.prompt_styles {
-                for &strategy in &self.strategies {
-                    for &probe_fraction in &self.probe_fractions {
-                        for judge_profile in &self.judge_profiles {
-                            let label = format!(
-                                "{}/{}/{}/mut{:.0}%/{}",
-                                model_tag(model),
-                                style_tag(prompt_style),
-                                strategy_tag(strategy),
-                                probe_fraction * 100.0,
-                                profile_tag(judge_profile),
-                            );
-                            scenarios.push(Scenario {
-                                label,
-                                model,
-                                prompt_style,
-                                judge_profile: judge_profile.clone(),
-                                strategy,
-                                probe_fraction,
-                                suite_size: self.suite_size,
-                                shards: self.shards,
-                                corpus_seed: self.corpus_seed,
-                                probe_seed: self.probe_seed,
-                                judge_seed: self.judge_seed,
-                                workers: self.workers,
-                                channel_capacity: self.channel_capacity,
-                            });
-                        }
+                for &probe_fraction in &self.probe_fractions {
+                    for judge_profile in &self.judge_profiles {
+                        let label = format!(
+                            "{}/{}/mut{:.0}%/{}",
+                            model_tag(model),
+                            style_tag(prompt_style),
+                            probe_fraction * 100.0,
+                            profile_tag(judge_profile),
+                        );
+                        scenarios.push(Scenario {
+                            label,
+                            model,
+                            prompt_style,
+                            judge_profile: judge_profile.clone(),
+                            probe_fraction,
+                            suite_size: self.suite_size,
+                            shards: self.shards,
+                            corpus_seed: self.corpus_seed,
+                            probe_seed: self.probe_seed,
+                            judge_seed: self.judge_seed,
+                            channel_capacity: self.channel_capacity,
+                        });
                     }
                 }
             }
@@ -392,6 +352,29 @@ impl ScenarioMetrics {
         }
     }
 
+    /// Fold one record-all case into the judge, pipeline and judge-load
+    /// sinks (see [`observe_record_all_case`]).
+    pub(crate) fn observe(&mut self, issue: IssueKind, record: &CaseRecord) {
+        observe_record_all_case(
+            &mut self.judge,
+            &mut self.pipeline,
+            &mut self.judge_load,
+            issue,
+            record,
+        );
+    }
+
+    /// Absorb another partial fold of the same scenario (a shard, a store
+    /// scan or a remote job): every accumulator merges exactly, and the
+    /// in-flight high-water mark takes the maximum.
+    pub fn merge(&mut self, other: &ScenarioMetrics) {
+        self.judge.merge(&other.judge);
+        self.pipeline.merge(&other.pipeline);
+        self.judge_load.merge(&other.judge_load);
+        self.stats.merge(&other.stats);
+        self.max_in_flight = self.max_in_flight.max(other.max_in_flight);
+    }
+
     /// Number of cases evaluated.
     pub fn cases(&self) -> usize {
         self.pipeline.total()
@@ -408,21 +391,15 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioMetrics {
 pub(crate) fn run_scenario_on(scenario: &Scenario, service: ValidationService) -> ScenarioMetrics {
     let mut merged = ScenarioMetrics::new(scenario.clone());
     for k in 0..scenario.shards {
-        let mut judge = MetricsSink::default();
-        let mut pipeline = MetricsSink::default();
-        let mut judge_load = LatencyTokenSummary::default();
+        let mut shard = ScenarioMetrics::new(scenario.clone());
         let fold = fold_probed_source(
             &service,
             scenario.shard_spec(k).source(),
-            |issue, record| {
-                observe_record_all_case(&mut judge, &mut pipeline, &mut judge_load, issue, record);
-            },
+            |issue, record| shard.observe(issue, record),
         );
-        merged.judge.merge(&judge);
-        merged.pipeline.merge(&pipeline);
-        merged.judge_load.merge(&judge_load);
-        merged.stats.merge(&fold.stats);
-        merged.max_in_flight = merged.max_in_flight.max(fold.max_in_flight);
+        shard.stats = fold.stats;
+        shard.max_in_flight = fold.max_in_flight;
+        merged.merge(&shard);
     }
     merged
 }
@@ -515,7 +492,7 @@ impl CampaignResults {
 pub fn run_campaign(matrix: &ScenarioMatrix) -> CampaignResults {
     let scenarios = matrix.scenarios();
     // One content-addressed compile cache for the whole campaign: scenario
-    // axes that reuse a corpus (prompt style, strategy, judge profile) hit
+    // axes that reuse a corpus (prompt style, judge profile) hit
     // the outcomes their sibling scenarios already compiled.
     let cache = CompileCache::shared();
     let scenarios: Vec<ScenarioMetrics> = scenarios
@@ -593,17 +570,17 @@ mod tests {
 
     #[test]
     fn comparison_table_has_one_row_per_scenario() {
-        let matrix = ScenarioMatrix::new(30).strategies(vec![
-            ExecutionStrategy::Staged,
-            ExecutionStrategy::Sequential,
+        let matrix = ScenarioMatrix::new(30).judge_profiles(vec![
+            JudgeProfile::deepseek_agent_direct(),
+            JudgeProfile::deepseek_agent_indirect(),
         ]);
         let campaign = run_campaign(&matrix);
         assert_eq!(campaign.scenarios.len(), 2);
         assert_eq!(campaign.total_cases(), 60);
         let table = campaign.comparison_table();
         assert!(table.contains("CAMPAIGN: 2 scenarios, 60 cases"), "{table}");
-        assert!(table.contains("staged"), "{table}");
-        assert!(table.contains("seq"), "{table}");
+        assert!(table.contains("llmj1"), "{table}");
+        assert!(table.contains("llmj2"), "{table}");
         assert!(table.contains("p99 ms"), "{table}");
         assert!(table.contains("CC hit/miss"), "{table}");
         assert!(table.contains("Sto hit/miss"), "{table}");

@@ -17,7 +17,7 @@
 //! (asserted in `tests/campaign.rs`): the accumulators' counters are
 //! integers and every derived float is computed once, at read time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -296,12 +296,6 @@ pub struct PartTwoConfig {
     pub probe_seed: u64,
     /// Seed for the judges' decision layers.
     pub judge_seed: u64,
-    /// Worker counts forwarded to the validation pipeline.
-    pub compile_workers: usize,
-    /// Worker count for the execution stage.
-    pub exec_workers: usize,
-    /// Worker count for the judge stage.
-    pub judge_workers: usize,
 }
 
 impl PartTwoConfig {
@@ -313,9 +307,6 @@ impl PartTwoConfig {
             corpus_seed: 0x2ACC1,
             probe_seed: 0x2ACC2,
             judge_seed: 0x2ACC3,
-            compile_workers: 4,
-            exec_workers: 4,
-            judge_workers: 4,
         }
     }
 
@@ -327,9 +318,6 @@ impl PartTwoConfig {
             corpus_seed: 0x20B1,
             probe_seed: 0x20B2,
             judge_seed: 0x20B3,
-            compile_workers: 4,
-            exec_workers: 4,
-            judge_workers: 4,
         }
     }
 
@@ -341,9 +329,6 @@ impl PartTwoConfig {
             corpus_seed: 21,
             probe_seed: 22,
             judge_seed: 23,
-            compile_workers: 2,
-            exec_workers: 2,
-            judge_workers: 2,
         }
     }
 
@@ -620,10 +605,9 @@ pub fn observe_record_all_case(
 }
 
 /// Outcome of [`fold_probed_source`]: the run's final service statistics
-/// plus the high-water mark of the ground-truth side table — the
-/// constant-memory evidence, since the table tracks the pipeline's
-/// in-flight window (bounded by the channel capacity and worker counts),
-/// never the corpus size.
+/// plus the high-water mark of the ground-truth side queue — the
+/// constant-memory evidence, since the queue tracks the pipeline's
+/// in-flight window, never the corpus size.
 #[derive(Clone, Debug)]
 pub struct FoldStats {
     /// Aggregate statistics of the completed run.
@@ -635,55 +619,34 @@ pub struct FoldStats {
 /// Stream a probed [`CaseSource`] through a [`ValidationService`] and hand
 /// each completed record — joined back to its ground-truth issue — to `f`.
 ///
-/// The issue of every in-flight case is parked in a side table as the
-/// service's feeder pulls it off the stream and removed when its record
-/// completes, so the table's size follows the pipeline's in-flight window
-/// and the whole fold runs in constant memory: no suite, record `Vec` or
-/// `Vec<EvaluationRecord>` is ever materialized.
-///
-/// The join is by case id, FIFO per id: a source that yields duplicate ids
-/// (e.g. two same-seed streams interleaved) still folds every record, with
-/// same-id issues handed out in submission order. Since records complete
-/// out of order, a precise per-record join under duplicate ids is not
-/// possible — aggregate metrics remain exact whenever duplicate-id cases
-/// are byte-identical (the only way the built-in sources produce them).
+/// The issue of every in-flight case is parked in a FIFO queue as the
+/// service's executor pulls it off the stream and popped when its record
+/// arrives. Records stream in submission order, so the join is exact even
+/// under duplicate ids, and the queue's length follows the pipeline's
+/// in-flight window: the whole fold runs in constant memory — no suite,
+/// record `Vec` or `Vec<EvaluationRecord>` is ever materialized.
 pub fn fold_probed_source<S, F>(service: &ValidationService, source: S, mut f: F) -> FoldStats
 where
     S: CaseSource + Send + 'static,
     F: FnMut(IssueKind, &CaseRecord),
 {
-    let truth: Arc<Mutex<HashMap<String, VecDeque<IssueKind>>>> = Arc::default();
-    let in_flight = Arc::new(AtomicUsize::new(0));
+    let truth: Arc<Mutex<VecDeque<(String, IssueKind)>>> = Arc::default();
     let high_water = Arc::new(AtomicUsize::new(0));
     let capture = Arc::clone(&truth);
-    let pending = Arc::clone(&in_flight);
     let watermark = Arc::clone(&high_water);
     let tapped = source.inspect(move |case| {
-        capture
-            .lock()
-            .expect("ground-truth table poisoned")
-            .entry(case.case.id.clone())
-            .or_default()
-            .push_back(IssueKind::of_case(case));
-        let parked = pending.fetch_add(1, Ordering::Relaxed) + 1;
-        watermark.fetch_max(parked, Ordering::Relaxed);
+        let mut parked = capture.lock().expect("ground-truth queue poisoned");
+        parked.push_back((case.case.id.clone(), IssueKind::of_case(case)));
+        watermark.fetch_max(parked.len(), Ordering::Relaxed);
     });
     let mut stream = service.submit_source(tapped);
     for record in &mut stream {
-        let issue = {
-            let mut table = truth.lock().expect("ground-truth table poisoned");
-            let queue = table
-                .get_mut(&record.id)
-                .expect("every completed record was tapped on submission");
-            let issue = queue
-                .pop_front()
-                .expect("as many completions per id as submissions");
-            if queue.is_empty() {
-                table.remove(&record.id);
-            }
-            issue
-        };
-        in_flight.fetch_sub(1, Ordering::Relaxed);
+        let (id, issue) = truth
+            .lock()
+            .expect("ground-truth queue poisoned")
+            .pop_front()
+            .expect("every completed record was tapped on submission");
+        assert_eq!(id, record.id, "records stream in submission order");
         f(issue, &record);
     }
     FoldStats {
@@ -703,11 +666,6 @@ where
 pub fn stream_part_two(config: &PartTwoConfig) -> PartTwoMetrics {
     let base = ValidationService::builder()
         .mode(PipelineMode::RecordAll)
-        .workers(
-            config.compile_workers,
-            config.exec_workers,
-            config.judge_workers,
-        )
         .judge_seed(config.judge_seed);
     let spec = config.corpus_spec();
     let mut metrics = PartTwoMetrics::new(config.model);
@@ -735,11 +693,6 @@ pub fn run_part_two(config: &PartTwoConfig) -> PartTwoResults {
     let spec = config.corpus_spec();
     let base = ValidationService::builder()
         .mode(PipelineMode::RecordAll)
-        .workers(
-            config.compile_workers,
-            config.exec_workers,
-            config.judge_workers,
-        )
         .judge_seed(config.judge_seed);
 
     // Generation and probing stream lazily into the service; the ground

@@ -20,7 +20,7 @@
 //!   the store).
 //!
 //! Because every accumulator on the path ([`vv_metrics::MetricsSink`],
-//! [`LatencyTokenSummary`], the latency
+//! [`vv_metrics::LatencyTokenSummary`], the latency
 //! histogram inside [`PipelineStats`]) is order-insensitive and exact
 //! under merge, an interrupted-then-resumed campaign produces metrics
 //! **byte-identical** to an uninterrupted one — asserted case by case in
@@ -37,7 +37,7 @@
 //! fingerprints and the full source bytes, so a matrix change simply hits
 //! whatever subset of records is still valid.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,14 +45,13 @@ use std::time::Duration;
 
 use rayon::prelude::*;
 use vv_corpus::{CaseSource, GeneratedCase};
-use vv_metrics::{Accumulator as _, LatencyTokenSummary, MetricsSink};
 use vv_pipeline::{decode_record, encode_record, CaseRecord, PipelineStats, WorkItem};
 use vv_probing::IssueKind;
 use vv_simcompiler::CompileCache;
 use vv_store::{ArtifactStore, Journal, Reader, StoreError, Writer};
 
 use crate::campaign::{CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
-use crate::experiment::{fold_probed_source, observe_record_all_case};
+use crate::experiment::fold_probed_source;
 
 /// File name of the campaign journal inside the store directory.
 pub const JOURNAL_FILE: &str = "journal.vvj";
@@ -66,7 +65,7 @@ pub const JOURNAL_FILE: &str = "journal.vvj";
 pub const GROUP_COMMIT_FRAMES: usize = 256;
 
 /// The journal tag identifying a campaign: the matrix's `Debug` rendering,
-/// which covers every axis, seed, worker count and channel capacity. Any
+/// which covers every axis, seed and the in-flight window. Any
 /// change to the matrix therefore resets the journal (never replaying
 /// frames from a differently shaped campaign) while the artifact store
 /// keeps serving whatever per-case records remain valid.
@@ -97,19 +96,12 @@ fn decode_frame(bytes: &[u8]) -> Option<(usize, IssueKind, CaseRecord)> {
 
 /// Fold one replayed (or freshly completed) record into a scenario's
 /// accumulators, exactly as the live fold would have: the journal replay
-/// path and the streaming path share [`observe_record_all_case`] and
+/// path and the streaming path share [`crate::experiment::observe_record_all_case`] and
 /// [`PipelineStats::observe_record`], so the two histories cannot diverge.
 fn replay_into(metrics: &mut ScenarioMetrics, issue: IssueKind, record: &CaseRecord) {
-    let ScenarioMetrics {
-        judge,
-        pipeline,
-        judge_load,
-        stats,
-        ..
-    } = metrics;
-    observe_record_all_case(judge, pipeline, judge_load, issue, record);
-    stats.submitted += 1;
-    stats.observe_record(record);
+    metrics.observe(issue, record);
+    metrics.stats.submitted += 1;
+    metrics.stats.observe_record(record);
 }
 
 /// A [`PipelineStats`] clone with everything history-dependent zeroed:
@@ -168,15 +160,6 @@ impl<S: CaseSource> CaseSource for FreshSource<S> {
     fn describe(&self) -> String {
         format!("{} -> fresh-only(budgeted)", self.inner.describe())
     }
-}
-
-/// One shard's scan-pass output: the locally folded metrics of every
-/// record replayed from the store, plus the ids that still need the
-/// validation service.
-struct ShardScan {
-    metrics: ScenarioMetrics,
-    fresh_ids: std::collections::HashSet<String>,
-    reused: usize,
 }
 
 /// Per-scenario progress of one [`run_incremental_campaign`] invocation.
@@ -335,12 +318,14 @@ pub fn run_incremental_campaign(
             // genuinely need validation.
             let scenario_done = std::sync::Mutex::new(std::mem::take(&mut done[idx]));
             let shard_ids: Vec<usize> = (0..scenario.shards).collect();
-            let scans: Vec<ShardScan> = shard_ids
+            // Each shard yields the locally folded metrics of every record
+            // replayed from the store, plus the ids that still need the
+            // validation service.
+            let scans: Vec<(ScenarioMetrics, HashSet<String>)> = shard_ids
                 .par_iter()
                 .map(|&k| {
                     let mut local = ScenarioMetrics::new(scenario.clone());
-                    let mut fresh_ids = std::collections::HashSet::new();
-                    let mut scan_reused = 0usize;
+                    let mut fresh_ids = HashSet::new();
                     let mut source = scenario.shard_spec(k).source();
                     while let Some(case) = source.next_case() {
                         let journal_replayed = {
@@ -365,30 +350,21 @@ pub fn run_incremental_campaign(
                             Some(record) => {
                                 replay_into(&mut local, issue, &record);
                                 local.stats.store_hits += 1;
-                                scan_reused += 1;
                             }
                             None => {
                                 fresh_ids.insert(item.id);
                             }
                         }
                     }
-                    ShardScan {
-                        metrics: local,
-                        fresh_ids,
-                        reused: scan_reused,
-                    }
+                    (local, fresh_ids)
                 })
                 .collect();
             let mut shard_fresh = Vec::with_capacity(scans.len());
-            for scan in scans {
-                let merged = &mut metrics[idx];
-                merged.judge.merge(&scan.metrics.judge);
-                merged.pipeline.merge(&scan.metrics.pipeline);
-                merged.judge_load.merge(&scan.metrics.judge_load);
-                merged.stats.merge(&scan.metrics.stats);
-                reused += scan.reused;
-                covered += scan.reused;
-                shard_fresh.push(scan.fresh_ids);
+            for (scan, fresh_ids) in scans {
+                metrics[idx].merge(&scan);
+                reused += scan.stats.store_hits;
+                covered += scan.stats.store_hits;
+                shard_fresh.push(fresh_ids);
             }
 
             for (k, fresh_ids) in shard_fresh.into_iter().enumerate() {
@@ -403,17 +379,9 @@ pub fn run_incremental_campaign(
                     fresh_ids,
                     budget: Arc::clone(&budget),
                 };
-                let mut judge = MetricsSink::default();
-                let mut pipeline = MetricsSink::default();
-                let mut judge_load = LatencyTokenSummary::default();
+                let mut shard = ScenarioMetrics::new(scenario.clone());
                 let fold = fold_probed_source(&service, source, |issue, record| {
-                    observe_record_all_case(
-                        &mut judge,
-                        &mut pipeline,
-                        &mut judge_load,
-                        issue,
-                        record,
-                    );
+                    shard.observe(issue, record);
                     if journal_error.is_none() {
                         journal_error = journal
                             .append_buffered(&encode_frame(idx as u32, issue, record))
@@ -425,18 +393,15 @@ pub fn run_incremental_campaign(
                         }
                     }
                 });
-                let merged = &mut metrics[idx];
-                merged.judge.merge(&judge);
-                merged.pipeline.merge(&pipeline);
-                merged.judge_load.merge(&judge_load);
-                merged.stats.merge(&fold.stats);
-                merged.max_in_flight = merged.max_in_flight.max(fold.max_in_flight);
                 // In-run duplicates can still hit the store inside the
                 // service (a sibling case persisted the record moments
                 // earlier); they count as reused, not fresh.
                 reused += fold.stats.store_hits;
                 fresh += fold.stats.store_misses;
                 covered += fold.stats.submitted;
+                shard.stats = fold.stats;
+                shard.max_in_flight = fold.max_in_flight;
+                metrics[idx].merge(&shard);
             }
             if let Some(error) = journal_error {
                 return Err(error);

@@ -13,7 +13,7 @@
 //!   results (Tables IV–VI) are both derived, plus the radar figures
 //!   (Figures 3–6);
 //! * [`campaign`]: the scenario-matrix harness — sweep directive model ×
-//!   prompt style × execution strategy × probe fraction × judge profile in
+//!   prompt style × probe fraction × judge profile in
 //!   one run, every scenario folded into mergeable constant-memory
 //!   accumulators over sharded corpus sources;
 //! * [`incremental`]: checkpoint/resume campaigns over a durable

@@ -9,18 +9,18 @@
 //! scenario's [`JobSpec`] and streams each record back tagged with its
 //! submission ordinal, which pairs it exactly with the locally-parked
 //! issue. The fold itself is the same
-//! [`observe_record_all_case`] the local
-//! [`run_scenario`](crate::campaign::run_scenario) uses, so a remote run
-//! produces [`ScenarioMetrics`] that agree with a direct run: identical
-//! judge/pipeline sinks and judge-load summaries, and service statistics
-//! that match under [`stage_stats`](crate::incremental::stage_stats)
+//! [`observe_record_all_case`](crate::experiment::observe_record_all_case)
+//! the local [`run_scenario`](crate::campaign::run_scenario) uses, so a
+//! remote run produces [`ScenarioMetrics`] that agree with a direct run:
+//! identical judge/pipeline sinks and judge-load summaries, and service
+//! statistics that match under
+//! [`stage_stats`](crate::incremental::stage_stats)
 //! (wall time and cache/store provenance legitimately differ — the
 //! daemon's pools are warm).
 //!
-//! What does **not** travel: the scenario's local scheduling knobs
-//! (execution strategy, worker counts, channel capacity) — those belong
-//! to whichever service executes, and the pipeline's strategy-equivalence
-//! law guarantees the records are byte-identical regardless. What
+//! What does **not** travel: the scenario's local in-flight window — it
+//! belongs to whichever service executes, and the pipeline's worker-count
+//! parity law guarantees the records are byte-identical regardless. What
 //! *cannot* travel: a custom [`JudgeProfile`](vv_judge::JudgeProfile) —
 //! the wire pins the built-in calibrations by
 //! [`ProfileId`], and [`scenario_job_spec`] reports
@@ -29,13 +29,11 @@
 use std::fmt;
 
 use vv_corpus::CaseSource;
-use vv_metrics::{Accumulator as _, LatencyTokenSummary, MetricsSink};
 use vv_pipeline::{PipelineMode, WorkItem};
 use vv_probing::IssueKind;
 use vv_server::{Client, ClientError, JobSpec, ProfileId};
 
 use crate::campaign::{CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
-use crate::experiment::observe_record_all_case;
 
 /// Why a scenario could not be evaluated remotely.
 #[derive(Debug)]
@@ -94,10 +92,11 @@ pub fn scenario_job_spec(scenario: &Scenario) -> Result<JobSpec, RemoteError> {
 /// Each shard is one protocol job: the shard's cases are generated
 /// locally (parking their [`IssueKind`]s by submission ordinal), streamed
 /// to the server, and every returned record is folded — in completion
-/// order, exactly like the local fold — into the shard's sinks via
-/// [`observe_record_all_case`]. Per-shard service statistics come from
-/// the server's `JOB_DONE` aggregate and merge across shards just like
-/// local [`FoldStats`](crate::experiment::FoldStats) do.
+/// order — into the shard's sinks via
+/// [`observe_record_all_case`](crate::experiment::observe_record_all_case).
+/// Per-shard service statistics come from the server's `JOB_DONE`
+/// aggregate and merge across shards just like local
+/// [`FoldStats`](crate::experiment::FoldStats) do.
 ///
 /// `max_in_flight` is reported as 0: the in-flight window lives on the
 /// server (its queue bounds and worker pool), not in this client.
@@ -116,23 +115,17 @@ pub fn run_scenario_remote(
             items.push(WorkItem::from(case));
         }
 
-        let mut judge = MetricsSink::default();
-        let mut pipeline = MetricsSink::default();
-        let mut judge_load = LatencyTokenSummary::default();
+        let mut shard = ScenarioMetrics::new(scenario.clone());
         let mut job = client.submit(spec, items)?;
         for result in &mut job {
             let (seq, record) = result?;
             let issue = *issues
                 .get(seq as usize)
                 .expect("server echoes only submitted ordinals");
-            observe_record_all_case(&mut judge, &mut pipeline, &mut judge_load, issue, &record);
+            shard.observe(issue, &record);
         }
-        let stats = job.stats().cloned().ok_or(ClientError::Broken)?;
-
-        merged.judge.merge(&judge);
-        merged.pipeline.merge(&pipeline);
-        merged.judge_load.merge(&judge_load);
-        merged.stats.merge(&stats);
+        shard.stats = job.stats().cloned().ok_or(ClientError::Broken)?;
+        merged.merge(&shard);
     }
     Ok(merged)
 }

@@ -19,18 +19,17 @@
 //! just the default impls.
 //!
 //! A single [`ValidationService`], built via [`ValidationServiceBuilder`],
-//! replaces the old per-runner methods. The [`ExecutionStrategy`] selects
-//! the scheduling — the staged multi-worker pipeline of the paper, a
-//! sequential baseline, batch parallelism, or the stage-pipelined
-//! work-stealing executor of [`parallel`] — and all strategies share
-//! identical per-file semantics, so they produce identical records for
-//! identical inputs.
+//! runs every case through one stage-step function on the stage-pipelined
+//! work-stealing executor of [`parallel`]; [`ExecutionStrategy`] only sets
+//! its worker count, and records are identical at every worker count.
 //!
 //! Results come in two shapes: a batch [`ValidationService::run`] returning
 //! a [`PipelineRun`], and a streaming [`ValidationService::submit`]
-//! returning an iterator that yields each [`CaseRecord`] as it completes
-//! through the bounded channels — constant memory for arbitrarily large
-//! suites. Corpus pipelines plug in directly through
+//! returning an iterator that yields each [`CaseRecord`] in submission
+//! order while input is pulled lazily under a bounded in-flight window —
+//! constant memory for arbitrarily large suites. External schedulers run
+//! single cases through [`ValidationService::process_case`] under the same
+//! stage rules. Corpus pipelines plug in directly through
 //! [`ValidationService::submit_source`], which drains any
 //! `vv_corpus::CaseSource` lazily, so generation → probing → compile →
 //! execute → judge streams end-to-end without ever materializing the suite.
@@ -42,8 +41,7 @@
 //!
 //! let service = ValidationService::builder()
 //!     .mode(PipelineMode::EarlyExit)
-//!     .workers(2, 2, 1)
-//!     .strategy(ExecutionStrategy::Staged)
+//!     .strategy(ExecutionStrategy::Pipelined { workers: 2 })
 //!     .build();
 //!
 //! let items = vec![WorkItem {
@@ -53,7 +51,7 @@
 //!     model: DirectiveModel::OpenAcc,
 //! }];
 //!
-//! // Streaming: records arrive as they complete.
+//! // Streaming: records arrive in submission order.
 //! for record in service.submit(items.clone()) {
 //!     println!("{} -> {:?}", record.id, record.pipeline_verdict());
 //! }
@@ -78,6 +76,7 @@ pub mod parallel;
 pub mod persist;
 pub mod runner;
 pub mod service;
+mod stage;
 pub mod stats;
 
 pub use backend::{
@@ -167,7 +166,7 @@ pub enum Stage {
 
 /// Everything recorded about one file's trip through the pipeline.
 /// Equality is byte-for-byte over every captured field, which is what the
-/// strategy-parity tests assert across [`ExecutionStrategy`] variants.
+/// worker-count parity tests assert.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CaseRecord {
     /// The work item's identifier.
@@ -231,13 +230,8 @@ pub enum PipelineMode {
 /// Configuration of a validation pipeline.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Worker threads in the compile stage.
-    pub compile_workers: usize,
-    /// Worker threads in the execute stage.
-    pub exec_workers: usize,
-    /// Worker threads in the judge stage (one GPU slot each, in the paper).
-    pub judge_workers: usize,
-    /// Capacity of the bounded inter-stage channels (backpressure).
+    /// Minimum in-flight window of streamed runs (backpressure): cases
+    /// pulled but not yet yielded.
     pub channel_capacity: usize,
     /// Early-exit or record-all.
     pub mode: PipelineMode,
@@ -252,9 +246,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            compile_workers: 4,
-            exec_workers: 4,
-            judge_workers: 2,
             channel_capacity: 64,
             mode: PipelineMode::EarlyExit,
             judge_style: PromptStyle::AgentDirect,
@@ -276,14 +267,6 @@ impl PipelineConfig {
     pub fn with_indirect_judge(mut self) -> Self {
         self.judge_style = PromptStyle::AgentIndirect;
         self.judge_profile = JudgeProfile::deepseek_agent_indirect();
-        self
-    }
-
-    /// Set all three worker pools to one thread each.
-    pub fn single_threaded(mut self) -> Self {
-        self.compile_workers = 1;
-        self.exec_workers = 1;
-        self.judge_workers = 1;
         self
     }
 }
@@ -379,12 +362,8 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let config = PipelineConfig::default()
-            .record_all()
-            .with_indirect_judge()
-            .single_threaded();
+        let config = PipelineConfig::default().record_all().with_indirect_judge();
         assert_eq!(config.mode, PipelineMode::RecordAll);
         assert_eq!(config.judge_style, PromptStyle::AgentIndirect);
-        assert_eq!(config.compile_workers, 1);
     }
 }

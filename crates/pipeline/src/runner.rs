@@ -1,10 +1,7 @@
 //! Batch run results.
 //!
 //! The runner logic lives in [`crate::service`]; this module keeps the
-//! [`PipelineRun`] result type. (The pre-`ValidationService`
-//! `ValidationPipeline` shim that used to live here was deprecated in 0.2.0
-//! and has been removed; build a [`crate::ValidationService`] with an
-//! [`crate::ExecutionStrategy`] instead.)
+//! [`PipelineRun`] result type.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -67,9 +64,8 @@ impl PipelineRun {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::service::{ExecutionStrategy, ValidationService};
-    use crate::{PipelineMode, Stage, WorkItem};
+    use crate::{CaseRecord, PipelineMode, PipelineStats, Stage, WorkItem};
     use vv_corpus::CaseSource;
     use vv_dclang::DirectiveModel;
     use vv_probing::{CorpusSpec, IssueKind};
@@ -103,27 +99,28 @@ mod tests {
 
     #[test]
     fn all_strategies_agree_through_the_service() {
+        // The executor at every strategy and the service's own
+        // `process_case` (the daemon's path) agree record for record.
         let (items, _) = probed_items(DirectiveModel::OpenAcc, 30, 41);
-        let runs: Vec<PipelineRun> = ExecutionStrategy::ALL
+        let service = record_all_service();
+        let stats = parking_lot::Mutex::new(PipelineStats::default());
+        let direct: Vec<CaseRecord> = items
             .iter()
-            .map(|&strategy| {
-                ValidationService::builder()
-                    .mode(PipelineMode::RecordAll)
-                    .strategy(strategy)
-                    .build()
-                    .run(items.clone())
-            })
+            .map(|item| service.process_case(item, &stats))
             .collect();
-        for run in &runs {
-            assert_eq!(run.records.len(), items.len());
-        }
-        let (staged, rest) = runs.split_first().expect("three strategies");
-        for other in rest {
-            for (a, b) in staged.records.iter().zip(&other.records) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.pipeline_verdict(), b.pipeline_verdict(), "case {}", a.id);
-                assert_eq!(a.judge_verdict(), b.judge_verdict(), "case {}", a.id);
-            }
+        assert_eq!(
+            stats.lock().judged,
+            items.len(),
+            "RecordAll judges every case"
+        );
+        for workers in [0, 1, 2] {
+            let strategy = ExecutionStrategy::Pipelined { workers };
+            let run = ValidationService::builder()
+                .mode(PipelineMode::RecordAll)
+                .strategy(strategy)
+                .build()
+                .run(items.clone());
+            assert_eq!(run.records, direct, "{strategy:?}");
         }
     }
 
@@ -187,19 +184,17 @@ mod tests {
     #[test]
     fn worker_counts_do_not_change_results() {
         let (items, _) = probed_items(DirectiveModel::OpenMp, 20, 31);
-        let wide = ValidationService::builder()
-            .mode(PipelineMode::RecordAll)
-            .workers(8, 8, 4)
-            .build()
-            .run(items.clone());
-        let narrow = ValidationService::builder()
-            .mode(PipelineMode::RecordAll)
-            .workers(1, 1, 1)
-            .build()
-            .run(items);
-        for (a, b) in wide.records.iter().zip(&narrow.records) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.pipeline_verdict(), b.pipeline_verdict());
+        let run = |workers| {
+            ValidationService::builder()
+                .mode(PipelineMode::RecordAll)
+                .strategy(ExecutionStrategy::Pipelined { workers })
+                .build()
+                .run(items.clone())
+        };
+        let narrow = run(1);
+        assert_eq!(narrow.records.len(), items.len());
+        for workers in [0, 2, 8] {
+            assert_eq!(run(workers).records, narrow.records, "workers={workers}");
         }
     }
 
@@ -208,13 +203,11 @@ mod tests {
         let (items, _) = probed_items(DirectiveModel::OpenAcc, 25, 9);
         let expected: Vec<String> = items.iter().map(|i| i.id.clone()).collect();
         let service = ValidationService::builder().channel_capacity(2).build();
-        let stream = service.submit(items);
-        let mut seen: Vec<String> = stream.map(|record| record.id).collect();
-        // Completion order is nondeterministic; the *set* must match.
-        seen.sort();
-        let mut expected_sorted = expected;
-        expected_sorted.sort();
-        assert_eq!(seen, expected_sorted);
+        let seen: Vec<String> = service.submit(items).map(|record| record.id).collect();
+        assert_eq!(
+            seen, expected,
+            "the default service streams in submission order"
+        );
     }
 
     #[test]
@@ -322,9 +315,9 @@ mod tests {
         }
 
         let (items, _) = probed_items(DirectiveModel::OpenAcc, 8, 19);
-        for strategy in ExecutionStrategy::ALL {
+        for workers in [1, 2, 4, 8] {
             let service = ValidationService::builder()
-                .strategy(strategy)
+                .strategy(ExecutionStrategy::Pipelined { workers })
                 .judge_backend(PanickingJudge)
                 .build();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -339,7 +332,7 @@ mod tests {
                 .unwrap_or_default();
             assert!(
                 message.contains("judge backend exploded"),
-                "{strategy:?}: unexpected panic payload: {message:?}"
+                "workers={workers}: unexpected panic payload: {message:?}"
             );
         }
     }

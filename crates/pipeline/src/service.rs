@@ -1,89 +1,52 @@
-//! The validation service: one entry point for every execution strategy,
-//! with pluggable stage backends and streaming results.
+//! The validation service: pluggable stage backends, one executor, and
+//! streaming results.
 //!
-//! [`ValidationService`] replaces the three hardcoded runner methods of the
-//! old `ValidationPipeline`. It is constructed through
-//! [`ValidationServiceBuilder`] and offers two ways to consume results:
+//! [`ValidationService`] is constructed through [`ValidationServiceBuilder`]
+//! and offers three ways to consume results:
 //!
 //! * [`ValidationService::run`] — batch: process a `Vec<WorkItem>` and get a
 //!   [`PipelineRun`] with records in submission order plus aggregate stats;
 //! * [`ValidationService::submit`] — streaming: feed any iterator of work
-//!   items and receive an iterator of [`CaseRecord`]s that yields each
-//!   record *as it completes*. Items flow through bounded channels, so the
-//!   suite can be arbitrarily large while memory stays constant.
+//!   items and receive an iterator of [`CaseRecord`]s in submission order.
+//!   Input is pulled lazily under a bounded in-flight window, so the suite
+//!   can be arbitrarily large while memory stays constant;
+//! * [`ValidationService::process_case`] — one case on the calling thread,
+//!   for external schedulers such as the validation server.
 //!
-//! All four execution strategies share identical per-file semantics and
-//! therefore produce identical records for identical inputs (asserted by
-//! the strategy-parity tests); they differ only in scheduling.
+//! Every path runs the same per-stage rules (`stage::Stages::step`), so
+//! they produce identical records for identical inputs at any worker count
+//! (asserted by the worker-count parity tests).
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::backend::{
-    CompileBackend, CompileOutput, ExecBackend, JudgeBackend, PacedJudge, SimCompileBackend,
-    SimExecBackend, SurrogateJudgeBackend,
+    CompileBackend, ExecBackend, JudgeBackend, PacedJudge, SimCompileBackend, SimExecBackend,
+    SurrogateJudgeBackend,
 };
+use crate::parallel::Executor;
 use crate::persist::RecordStore;
 use crate::runner::PipelineRun;
+use crate::stage::Stages;
 use crate::stats::PipelineStats;
-use crate::{CaseRecord, CompileSummary, PipelineConfig, PipelineMode, WorkItem};
+use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
 use vv_judge::{JudgeProfile, PromptStyle};
-use vv_simcompiler::{CacheAdmission, CompileCache, CompileFetch, PersistentCache};
+use vv_simcompiler::{CacheAdmission, CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
-/// How the service schedules the per-file work.
-///
-/// All strategies share identical per-file semantics and produce
-/// byte-identical records for identical inputs (the strategy-parity laws);
-/// they differ only in scheduling, so choosing one is purely a
-/// throughput/latency/footprint decision:
-///
-/// * [`Staged`](Self::Staged) — fixed per-stage pools sized by
-///   [`PipelineConfig`]. Best when per-stage costs are known and stable,
-///   and when you want hard per-stage concurrency limits (e.g. "at most 2
-///   concurrent judge calls" to respect an external rate limit).
-/// * [`Sequential`](Self::Sequential) — one thread, submission order,
-///   no scheduling noise. The baseline for ablations and the right choice
-///   for debugging and for tiny batches where thread spawn overhead
-///   dominates.
-/// * [`RayonBatch`](Self::RayonBatch) — whole-case workers: parallel but
-///   not pipelined. Simple and effective when cases are uniform and no
-///   per-stage limits are needed; a slow stage of one case never blocks a
-///   different stage of another, because workers make no attempt to
-///   specialize.
-/// * [`Pipelined`](Self::Pipelined) — stage-pipelined work stealing: a
-///   single elastic pool where each worker prefers a home stage but steals
-///   any ready work, with lazy input admission and an ordered output
-///   stream. Best sustained throughput on mixed workloads and the only
-///   strategy whose stream yields records in *submission* order; prefer it
-///   when scaling across cores matters more than hard per-stage caps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// How the service schedules the per-file work: the stage-pipelined
+/// work-stealing executor of [`crate::parallel`] over `workers` threads
+/// (`0` = one per available core). Per-worker home stages are sized to
+/// measured stage cost, workers steal across stages, input is admitted
+/// lazily under an in-flight window, and a reorder buffer makes the
+/// stream yield records in submission order. Records do not depend on the
+/// worker count (the worker-count parity laws); only throughput does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutionStrategy {
-    /// The paper's Figure-2 design: one worker pool per stage, connected by
-    /// bounded channels (backpressure included). Files that fail an early
-    /// stage never occupy a slot in the expensive judge pool.
-    #[default]
-    Staged,
-    /// One worker processes every file through all stages, in submission
-    /// order. The baseline for the ablation benchmarks.
-    Sequential,
-    /// Batch parallelism: each worker runs all stages for one file
-    /// ("parallel but not pipelined"). The worker count is the sum of the
-    /// three stage pools, so `workers(...)` budgets comparably across
-    /// strategies. The name is kept from the rayon-based runner this
-    /// scheduling mode replaces (the ablation benchmarks' terminology);
-    /// the implementation uses the service's own worker threads.
-    RayonBatch,
-    /// Stage-pipelined work stealing over `workers` threads (`0` = one per
-    /// available core): per-worker home stages sized to measured stage
-    /// cost, stealing across stages, lazy input admission bounded by an
-    /// in-flight window, and a reorder buffer so the stream yields records
-    /// in submission order. See [`crate::parallel`] for the design.
+    /// Stage-pipelined work stealing over `workers` threads.
     Pipelined {
         /// Worker thread count; `0` resolves to
         /// `std::thread::available_parallelism()`.
@@ -91,24 +54,26 @@ pub enum ExecutionStrategy {
     },
 }
 
-impl ExecutionStrategy {
-    /// All strategies, in display order (`Pipelined` at its auto-sized
-    /// worker count).
-    pub const ALL: [ExecutionStrategy; 4] = [
-        ExecutionStrategy::Staged,
-        ExecutionStrategy::Sequential,
-        ExecutionStrategy::RayonBatch,
-        ExecutionStrategy::Pipelined { workers: 0 },
-    ];
+impl Default for ExecutionStrategy {
+    /// One worker per available core.
+    fn default() -> Self {
+        ExecutionStrategy::Pipelined { workers: 0 }
+    }
+}
 
+impl ExecutionStrategy {
     /// A short label for tables and logs.
     pub fn label(&self) -> &'static str {
-        match self {
-            ExecutionStrategy::Staged => "staged",
-            ExecutionStrategy::Sequential => "sequential",
-            ExecutionStrategy::RayonBatch => "batch parallel",
-            ExecutionStrategy::Pipelined { .. } => "pipelined",
+        "pipelined"
+    }
+
+    /// The worker thread count, with `0` resolved to the available cores.
+    pub fn workers(&self) -> usize {
+        let ExecutionStrategy::Pipelined { workers } = *self;
+        if workers > 0 {
+            return workers;
         }
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 }
 
@@ -119,8 +84,7 @@ impl ExecutionStrategy {
 ///
 /// let service = ValidationService::builder()
 ///     .mode(PipelineMode::RecordAll)
-///     .workers(2, 2, 1)
-///     .strategy(ExecutionStrategy::Staged)
+///     .strategy(ExecutionStrategy::Pipelined { workers: 2 })
 ///     .build();
 /// let run = service.run(Vec::new());
 /// assert_eq!(run.stats.submitted, 0);
@@ -156,23 +120,15 @@ impl ValidationServiceBuilder {
         self
     }
 
-    /// Worker counts for the compile, execute and judge pools.
-    pub fn workers(mut self, compile: usize, exec: usize, judge: usize) -> Self {
-        self.config.compile_workers = compile;
-        self.config.exec_workers = exec;
-        self.config.judge_workers = judge;
-        self
-    }
-
-    /// Capacity of the bounded inter-stage channels.
+    /// Minimum in-flight window of streamed runs: cases pulled from the
+    /// input but not yet yielded (the window is `max(capacity, 2 ×
+    /// workers)`).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.config.channel_capacity = capacity;
         self
     }
 
-    /// Scheduling strategy (staged pipeline, sequential, batch parallel, or
-    /// the pipelined work-stealing executor); see [`ExecutionStrategy`] for
-    /// when each is appropriate.
+    /// Executor worker count; see [`ExecutionStrategy`].
     pub fn strategy(mut self, strategy: ExecutionStrategy) -> Self {
         self.strategy = strategy;
         self
@@ -210,8 +166,7 @@ impl ValidationServiceBuilder {
     }
 
     /// Plug in a simulated compile backend, keeping the concrete handle so
-    /// strategies that can exploit it (per-worker session leases in the
-    /// pipelined executor) do so.
+    /// the executor's workers can lease per-worker sessions.
     fn sim_compile_backend(mut self, backend: SimCompileBackend) -> Self {
         let backend = Arc::new(backend);
         self.sim_compile = Some(Arc::clone(&backend));
@@ -369,13 +324,16 @@ impl ValidationServiceBuilder {
             )))
         });
         ValidationService {
+            stages: Arc::new(Stages {
+                mode: self.config.mode,
+                compile,
+                sim_compile,
+                exec,
+                judge,
+                record_store,
+            }),
             config: self.config,
             strategy: self.strategy,
-            compile,
-            sim_compile,
-            exec,
-            judge,
-            record_store,
         }
     }
 }
@@ -385,16 +343,7 @@ impl ValidationServiceBuilder {
 pub struct ValidationService {
     config: PipelineConfig,
     strategy: ExecutionStrategy,
-    compile: Arc<dyn CompileBackend>,
-    /// The same backend as `compile` when it is the default simulated one
-    /// (strategies that can lease per-worker sessions use this handle);
-    /// `None` for custom backends.
-    sim_compile: Option<Arc<SimCompileBackend>>,
-    exec: Arc<dyn ExecBackend>,
-    judge: Arc<dyn JudgeBackend>,
-    /// Whole-record persistence layer, when an artifact store is attached
-    /// and every backend pins its configuration.
-    record_store: Option<Arc<RecordStore>>,
+    stages: Arc<Stages>,
 }
 
 impl std::fmt::Debug for ValidationService {
@@ -402,9 +351,9 @@ impl std::fmt::Debug for ValidationService {
         f.debug_struct("ValidationService")
             .field("config", &self.config)
             .field("strategy", &self.strategy)
-            .field("compile", &self.compile.name())
-            .field("exec", &self.exec.name())
-            .field("judge", &self.judge.name())
+            .field("compile", &self.stages.compile.name())
+            .field("exec", &self.stages.exec.name())
+            .field("judge", &self.stages.judge.name())
             .finish()
     }
 }
@@ -431,32 +380,26 @@ impl ValidationService {
         &self.config
     }
 
-    /// The scheduling strategy in effect.
-    pub fn strategy(&self) -> ExecutionStrategy {
-        self.strategy
-    }
-
     /// The whole-record persistence layer, when active (an artifact store
     /// was attached and every stage backend stated a fingerprint). The
     /// campaign delta planner probes this to split a corpus into
     /// already-stored and fresh work.
     pub fn record_store(&self) -> Option<&Arc<RecordStore>> {
-        self.record_store.as_ref()
+        self.stages.record_store.as_ref()
     }
 
     /// Batch entry point: run `items` to completion and return the records
     /// in submission order plus aggregate statistics.
     pub fn run(&self, items: Vec<WorkItem>) -> PipelineRun {
-        let stream = self.submit(items);
-        stream.into_run()
+        self.submit(items).into_run()
     }
 
     /// Streaming entry point for corpus pipelines: drain a
     /// [`CaseSource`] directly. Generation (and probing, when the source
-    /// includes a `probe` stage) happens lazily on the feeder thread as the
-    /// bounded channels demand more work, so generation → compile → execute
-    /// → judge runs end-to-end in constant memory — the suite is never
-    /// materialized, whatever its size.
+    /// includes a `probe` stage) happens lazily on the executor's workers
+    /// as the in-flight window admits more work, so generation → compile →
+    /// execute → judge runs end-to-end in constant memory — the suite is
+    /// never materialized, whatever its size.
     pub fn submit_source<S>(&self, source: S) -> RecordStream
     where
         S: CaseSource + Send + 'static,
@@ -476,9 +419,9 @@ impl ValidationService {
     }
 
     /// Streaming entry point: feed an iterator of work items, get an
-    /// iterator of records that yields each one *as it completes* (not in
-    /// submission order). Backpressure through the bounded channels keeps
-    /// memory constant for arbitrarily large suites.
+    /// iterator of records in submission order. Input is pulled lazily
+    /// under the in-flight window, so memory stays constant for
+    /// arbitrarily large suites.
     pub fn submit<I>(&self, items: I) -> RecordStream
     where
         I: IntoIterator<Item = WorkItem>,
@@ -486,439 +429,52 @@ impl ValidationService {
     {
         let started = Instant::now();
         let stats = Arc::new(Mutex::new(PipelineStats::default()));
-        let capacity = self.config.channel_capacity.max(1);
-        let (tx_done, rx_done) = bounded::<(usize, CaseRecord)>(capacity);
-        let handles = match self.strategy {
-            ExecutionStrategy::Staged => {
-                self.spawn_staged(items.into_iter(), tx_done, &stats, capacity)
-            }
-            ExecutionStrategy::Sequential => {
-                self.spawn_batch(items.into_iter(), tx_done, &stats, capacity, 1)
-            }
-            ExecutionStrategy::RayonBatch => {
-                let workers = (self.config.compile_workers
-                    + self.config.exec_workers
-                    + self.config.judge_workers)
-                    .max(1);
-                self.spawn_batch(items.into_iter(), tx_done, &stats, capacity, workers)
-            }
-            ExecutionStrategy::Pipelined { workers } => {
-                let workers = if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    workers
-                };
-                let spec = crate::parallel::PipelineSpec {
-                    mode: self.config.mode,
-                    compile: Arc::clone(&self.compile),
-                    sim_compile: self.sim_compile.clone(),
-                    exec: Arc::clone(&self.exec),
-                    judge: Arc::clone(&self.judge),
-                    record_store: self.record_store.clone(),
-                };
-                crate::parallel::spawn(spec, items.into_iter(), tx_done, &stats, capacity, workers)
-            }
-        };
         RecordStream {
-            rx: Some(rx_done),
+            executor: crate::parallel::spawn(
+                Arc::clone(&self.stages),
+                items.into_iter(),
+                &stats,
+                self.config.channel_capacity.max(1),
+                self.strategy.workers(),
+            ),
             stats,
-            handles,
             started,
             finished: None,
-            record_store: self.record_store.clone(),
+            record_store: self.stages.record_store.clone(),
         }
-    }
-
-    /// The staged Figure-2 topology: feeder → compile pool → execute pool →
-    /// judge pool, all connected by bounded channels; every stage can also
-    /// short-circuit to the done channel in early-exit mode.
-    fn spawn_staged(
-        &self,
-        items: impl Iterator<Item = WorkItem> + Send + 'static,
-        tx_done: Sender<(usize, CaseRecord)>,
-        stats: &Arc<Mutex<PipelineStats>>,
-        capacity: usize,
-    ) -> Vec<JoinHandle<()>> {
-        struct AfterCompile {
-            index: usize,
-            item: WorkItem,
-            compile: CompileSummary,
-            artifact: Option<vv_simcompiler::Program>,
-            signals: Option<Arc<vv_judge::CodeSignals>>,
-        }
-        struct AfterExec {
-            index: usize,
-            item: WorkItem,
-            compile: CompileSummary,
-            exec: Option<crate::ExecSummary>,
-            signals: Option<Arc<vv_judge::CodeSignals>>,
-        }
-
-        let mode = self.config.mode;
-        let mut handles = Vec::new();
-
-        let (tx_items, rx_items) = bounded::<(usize, WorkItem)>(capacity);
-        let (tx_compiled, rx_compiled) = bounded::<AfterCompile>(capacity);
-        let (tx_executed, rx_executed) = bounded::<AfterExec>(capacity);
-
-        // Feeder: pulls lazily from the caller's iterator, so only
-        // `capacity` items are ever in flight per stage.
-        {
-            let stats = Arc::clone(stats);
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in items.enumerate() {
-                    stats.lock().submitted += 1;
-                    if tx_items.send((index, item)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-
-        // Compile stage. Also the store layer's probe point: a stored
-        // record short-circuits every stage, so hits never occupy a slot
-        // downstream.
-        for _ in 0..self.config.compile_workers.max(1) {
-            let rx = rx_items.clone();
-            let tx_next = tx_compiled.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.compile);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in rx.iter() {
-                    if let Some(store) = &record_store {
-                        if let Some(record) = store.lookup(&item) {
-                            {
-                                let mut s = stats.lock();
-                                s.store_hits += 1;
-                                // Replay the stored stages into the
-                                // aggregates, so hit-heavy runs report the
-                                // same stage counters as cold ones.
-                                s.observe_record(&record);
-                            }
-                            if tx_done.send((index, record)).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        stats.lock().store_misses += 1;
-                    }
-                    let CompileOutput {
-                        summary: compile,
-                        artifact,
-                        signals,
-                        fetch,
-                    } = backend.compile(&item);
-                    {
-                        let mut s = stats.lock();
-                        s.compiled += 1;
-                        if !compile.succeeded {
-                            s.compile_failures += 1;
-                        }
-                        match fetch {
-                            Some(CompileFetch::Fresh) => s.compile_cache_misses += 1,
-                            Some(_) => s.compile_cache_hits += 1,
-                            None => {}
-                        }
-                    }
-                    if !compile.succeeded && mode == PipelineMode::EarlyExit {
-                        let record = CaseRecord {
-                            id: item.id.clone(),
-                            compile,
-                            exec: None,
-                            judgement: None,
-                        };
-                        if let Some(store) = &record_store {
-                            store.persist(&item, &record);
-                        }
-                        // A failed send means the consumer is gone; stop and
-                        // let the dropped receiver cancel the stages above.
-                        if tx_done.send((index, record)).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    if tx_next
-                        .send(AfterCompile {
-                            index,
-                            item,
-                            compile,
-                            artifact,
-                            signals,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx_compiled);
-        drop(rx_items);
-
-        // Execute stage.
-        for _ in 0..self.config.exec_workers.max(1) {
-            let rx = rx_compiled.clone();
-            let tx_next = tx_executed.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.exec);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    let exec = msg
-                        .artifact
-                        .as_ref()
-                        .map(|program| backend.execute(&msg.item, program));
-                    if exec.is_some() {
-                        let mut s = stats.lock();
-                        s.executed += 1;
-                        if exec.as_ref().is_some_and(|e| !e.passed) {
-                            s.exec_failures += 1;
-                        }
-                    }
-                    let failed = exec.as_ref().is_none_or(|e| !e.passed);
-                    if failed && mode == PipelineMode::EarlyExit {
-                        let record = CaseRecord {
-                            id: msg.item.id.clone(),
-                            compile: msg.compile,
-                            exec,
-                            judgement: None,
-                        };
-                        if let Some(store) = &record_store {
-                            store.persist(&msg.item, &record);
-                        }
-                        if tx_done.send((msg.index, record)).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    let next = AfterExec {
-                        index: msg.index,
-                        item: msg.item,
-                        compile: msg.compile,
-                        exec,
-                        signals: msg.signals,
-                    };
-                    if tx_next.send(next).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx_executed);
-        drop(rx_compiled);
-
-        // Judge stage.
-        for _ in 0..self.config.judge_workers.max(1) {
-            let rx = rx_executed.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let backend = Arc::clone(&self.judge);
-            let record_store = self.record_store.clone();
-            handles.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    let judgement = backend.judge(
-                        &msg.item,
-                        &msg.compile,
-                        msg.exec.as_ref(),
-                        msg.signals.as_deref(),
-                    );
-                    {
-                        let mut s = stats.lock();
-                        s.judged += 1;
-                        s.observe_judge_latency_ms(judgement.latency_ms);
-                        if !judgement.verdict_or_invalid().is_valid() {
-                            s.judge_rejections += 1;
-                        }
-                    }
-                    let record = CaseRecord {
-                        id: msg.item.id.clone(),
-                        compile: msg.compile,
-                        exec: msg.exec,
-                        judgement: Some(judgement),
-                    };
-                    if let Some(store) = &record_store {
-                        store.persist(&msg.item, &record);
-                    }
-                    if tx_done.send((msg.index, record)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(rx_executed);
-        // tx_done: the last clone is dropped when the judge workers exit.
-
-        handles
-    }
-
-    /// Whole-file workers: each worker pulls an item and runs every stage
-    /// for it. `workers == 1` is the sequential baseline; `workers > 1` is
-    /// the "parallel but not pipelined" comparison point.
-    fn spawn_batch(
-        &self,
-        items: impl Iterator<Item = WorkItem> + Send + 'static,
-        tx_done: Sender<(usize, CaseRecord)>,
-        stats: &Arc<Mutex<PipelineStats>>,
-        capacity: usize,
-        workers: usize,
-    ) -> Vec<JoinHandle<()>> {
-        let mut handles = Vec::new();
-        let (tx_items, rx_items) = bounded::<(usize, WorkItem)>(capacity);
-
-        {
-            let stats = Arc::clone(stats);
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in items.enumerate() {
-                    stats.lock().submitted += 1;
-                    if tx_items.send((index, item)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-
-        for _ in 0..workers.max(1) {
-            let rx = rx_items.clone();
-            let tx_done = tx_done.clone();
-            let stats = Arc::clone(stats);
-            let service = self.clone();
-            handles.push(std::thread::spawn(move || {
-                for (index, item) in rx.iter() {
-                    let record = service.process_one(&item, &stats);
-                    if tx_done.send((index, record)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(rx_items);
-
-        handles
     }
 
     /// Synchronous per-case entry point for external schedulers (the
     /// validation server's tenant-fair worker pool dispatches through
-    /// this): run every stage for one item on the calling thread, folding
-    /// provenance into `stats`.
+    /// this): run every stage for one item on the calling thread, then
+    /// fold its counters into `stats` under one lock.
     ///
-    /// Semantics are identical to the streaming strategies — including the
-    /// record-store replay/persist layer — so by the strategy-parity and
-    /// replay laws the returned record is byte-identical to what
+    /// The stage rules — including the record-store replay/persist layer —
+    /// are the executor's, so the returned record is byte-identical to what
     /// [`ValidationService::submit`] would have produced for the same item,
     /// whatever thread or order an external scheduler picks.
     pub fn process_case(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
-        self.process_one(item, stats)
-    }
-
-    /// Run every stage for one item (shared by the whole-file strategies);
-    /// semantics identical to the staged topology, including the store
-    /// layer's replay/persist behaviour.
-    fn process_one(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
-        if let Some(store) = &self.record_store {
-            if let Some(record) = store.lookup(item) {
-                let mut s = stats.lock();
-                s.store_hits += 1;
-                s.observe_record(&record);
-                return record;
-            }
-            stats.lock().store_misses += 1;
-        }
-        let record = self.process_fresh(item, stats);
-        if let Some(store) = &self.record_store {
-            store.persist(item, &record);
-        }
+        let mut local = PipelineStats::default();
+        let record = self.stages.run(item, &mut local);
+        stats.lock().merge(&local);
         record
-    }
-
-    /// The three stages proper, bypassing the store layer.
-    fn process_fresh(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
-        let mode = self.config.mode;
-        let CompileOutput {
-            summary: compile,
-            artifact,
-            signals,
-            fetch,
-        } = self.compile.compile(item);
-        {
-            let mut s = stats.lock();
-            s.compiled += 1;
-            if !compile.succeeded {
-                s.compile_failures += 1;
-            }
-            match fetch {
-                Some(vv_simcompiler::CompileFetch::Fresh) => s.compile_cache_misses += 1,
-                Some(_) => s.compile_cache_hits += 1,
-                None => {}
-            }
-        }
-        if !compile.succeeded && mode == PipelineMode::EarlyExit {
-            return CaseRecord {
-                id: item.id.clone(),
-                compile,
-                exec: None,
-                judgement: None,
-            };
-        }
-        let exec = artifact
-            .as_ref()
-            .map(|program| self.exec.execute(item, program));
-        if exec.is_some() {
-            let mut s = stats.lock();
-            s.executed += 1;
-            if exec.as_ref().is_some_and(|e| !e.passed) {
-                s.exec_failures += 1;
-            }
-        }
-        let exec_failed = exec.as_ref().is_none_or(|e| !e.passed);
-        if exec_failed && mode == PipelineMode::EarlyExit {
-            return CaseRecord {
-                id: item.id.clone(),
-                compile,
-                exec,
-                judgement: None,
-            };
-        }
-        let judgement = self
-            .judge
-            .judge(item, &compile, exec.as_ref(), signals.as_deref());
-        {
-            let mut s = stats.lock();
-            s.judged += 1;
-            s.observe_judge_latency_ms(judgement.latency_ms);
-            if !judgement.verdict_or_invalid().is_valid() {
-                s.judge_rejections += 1;
-            }
-        }
-        CaseRecord {
-            id: item.id.clone(),
-            compile,
-            exec,
-            judgement: Some(judgement),
-        }
     }
 }
 
 /// Streaming result iterator returned by [`ValidationService::submit`].
 ///
-/// Yields each [`CaseRecord`] as it completes (completion order, not
-/// submission order). After the iterator is exhausted, [`RecordStream::stats`]
-/// reports the final aggregate statistics. Dropping the stream early cancels
-/// the remaining work: the worker threads observe the closed channel and
-/// exit, and the unprocessed tail of the input iterator is never pulled.
+/// Yields each [`CaseRecord`] in submission order. After the iterator is
+/// exhausted, [`RecordStream::stats`] reports the final aggregate
+/// statistics. Dropping the stream early cancels the remaining work: the
+/// worker threads observe the cancel flag and exit, and the unprocessed
+/// tail of the input iterator is never pulled.
 ///
 /// A panic inside a backend is not lost: it is captured when the worker is
 /// reaped and resumed on the consuming thread (from `next()` returning
-/// `None`, from [`RecordStream::into_run`], or from `drop`), matching the
-/// propagation behaviour of the scoped-thread runners this replaces.
+/// `None`, from [`RecordStream::into_run`], or from `drop`).
 pub struct RecordStream {
-    rx: Option<Receiver<(usize, CaseRecord)>>,
+    executor: Executor,
     stats: Arc<Mutex<PipelineStats>>,
-    handles: Vec<JoinHandle<()>>,
     started: Instant,
     finished: Option<std::time::Duration>,
     /// Flushed when the stream completes, so every record processed
@@ -931,58 +487,36 @@ impl RecordStream {
     /// `submit` was called, latched at completion once the stream is
     /// exhausted (so the snapshot is final and stable from then on).
     ///
-    /// Under [`ExecutionStrategy::Pipelined`] the per-case counters live
-    /// in worker-private accumulators merged when each worker retires (no
-    /// shared mutable state on the case path), so mid-run snapshots lag
-    /// behind the records already yielded; the post-completion snapshot is
-    /// exact for every strategy.
+    /// The per-case counters live in worker-private accumulators merged
+    /// when each worker retires (no shared mutable state on the case
+    /// path), so mid-run snapshots lag behind the records already yielded;
+    /// the post-completion snapshot is exact.
     pub fn stats(&self) -> PipelineStats {
         let mut stats = self.stats.lock().clone();
         stats.wall_time = self.finished.unwrap_or_else(|| self.started.elapsed());
         stats
     }
 
-    /// Drain the stream into a [`PipelineRun`] with records restored to
-    /// submission order.
+    /// Drain the stream into a [`PipelineRun`].
     ///
     /// Records already consumed through `next()` cannot be recovered: the
     /// run contains only the *remaining* records, while the statistics
     /// still count every processed file. Call this before iterating (as
     /// [`ValidationService::run`] does) to get the complete batch.
     pub fn into_run(mut self) -> PipelineRun {
-        let mut indexed: Vec<(usize, CaseRecord)> = Vec::new();
-        if let Some(rx) = self.rx.take() {
-            for entry in rx.iter() {
-                indexed.push(entry);
-            }
-        }
-        self.finish();
-        indexed.sort_by_key(|(index, _)| *index);
-        let records = indexed.into_iter().map(|(_, record)| record).collect();
+        let records = self.by_ref().collect();
         PipelineRun::new(records, self.stats())
     }
 
     /// Reap the worker threads, latch the wall time, flush the record
-    /// store, and re-raise the first worker panic (if any) on this thread.
-    fn finish(&mut self) {
-        let panic = self.join_workers();
+    /// store, and return the first worker panic (if any).
+    fn finish(&mut self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
+        let panic = self.executor.join();
         self.finished.get_or_insert_with(|| self.started.elapsed());
         if let Some(store) = &self.record_store {
             store.flush();
         }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    fn join_workers(&mut self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
-        let mut first_panic = None;
-        for handle in self.handles.drain(..) {
-            if let Err(payload) = handle.join() {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        first_panic
+        panic
     }
 }
 
@@ -990,29 +524,25 @@ impl Iterator for RecordStream {
     type Item = CaseRecord;
 
     fn next(&mut self) -> Option<CaseRecord> {
-        match self.rx.as_ref()?.recv() {
-            Ok((_, record)) => Some(record),
-            Err(_) => {
-                // All workers have dropped their senders; reap the threads
-                // so `stats()` is final (and any backend panic surfaces)
-                // when `next` returns `None`.
-                self.rx = None;
-                self.finish();
-                None
+        if self.finished.is_some() {
+            return None;
+        }
+        let record = self.executor.recv();
+        if record.is_none() {
+            // Reap the threads so `stats()` is final (and any backend panic
+            // surfaces) when `next` returns `None`.
+            if let Some(payload) = self.finish() {
+                std::panic::resume_unwind(payload);
             }
         }
+        record
     }
 }
 
 impl Drop for RecordStream {
     fn drop(&mut self) {
-        // Close the channel first so blocked workers wake up and exit.
-        self.rx = None;
-        let panic = self.join_workers();
-        self.finished.get_or_insert_with(|| self.started.elapsed());
-        if let Some(store) = &self.record_store {
-            store.flush();
-        }
+        self.executor.cancel();
+        let panic = self.finish();
         // Surface a backend panic even on early drop, but never while this
         // thread is already unwinding (a double panic would abort).
         if let Some(payload) = panic {

@@ -37,7 +37,7 @@ pub struct PipelineStats {
     /// hardware; the surrogate itself runs in microseconds).
     ///
     /// This is latency *summed across workers*, not elapsed time: under a
-    /// concurrent strategy it routinely exceeds [`Self::wall_time`]
+    /// multi-worker run it routinely exceeds [`Self::wall_time`]
     /// (utilization above 100% is the point of running judges in
     /// parallel). Being an `f64` sum it is also not order-stable — two
     /// schedules of the same run can differ in the last bits — so

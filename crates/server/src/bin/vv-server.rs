@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! vv-server serve --addr 127.0.0.1:7411 [--store DIR] [--workers N]
-//!                 [--strategy staged|sequential|batch|pipelined[:N]]
 //!                 [--queue N] [--inflight N]
 //! vv-server submit --addr HOST:PORT --tenant NAME [--size N]
 //!                  [--model acc|omp] [--seed N] [--mutated F]
@@ -19,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use vv_dclang::DirectiveModel;
-use vv_pipeline::{ExecutionStrategy, WorkItem};
+use vv_pipeline::WorkItem;
 use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_server::{Client, JobSpec, Server, ServerConfig};
 
@@ -41,7 +40,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vv-server serve --addr HOST:PORT [--store DIR] [--workers N] \
-         [--strategy staged|sequential|batch|pipelined[:N]] [--queue N] [--inflight N]\n       \
+         [--queue N] [--inflight N]\n       \
          vv-server submit --addr HOST:PORT --tenant NAME [--size N] \
          [--model acc|omp] [--seed N] [--mutated F]\n       \
          vv-server stats --addr HOST:PORT\n       \
@@ -69,37 +68,21 @@ fn find<'a>(pairs: &[(&str, &'a str)], flag: &str) -> Option<&'a str> {
         .map(|(_, value)| *value)
 }
 
-/// Parse a `--strategy` value: a bare name, or `pipelined:N` to pin the
-/// worker count (`pipelined` alone auto-sizes to the core count).
-fn parse_strategy(value: &str) -> Option<ExecutionStrategy> {
-    match value {
-        "staged" => Some(ExecutionStrategy::Staged),
-        "sequential" => Some(ExecutionStrategy::Sequential),
-        "batch" => Some(ExecutionStrategy::RayonBatch),
-        "pipelined" => Some(ExecutionStrategy::Pipelined { workers: 0 }),
-        _ => {
-            let workers = value.strip_prefix("pipelined:")?.parse().ok()?;
-            Some(ExecutionStrategy::Pipelined { workers })
-        }
-    }
-}
-
 fn serve(args: &[String]) -> ExitCode {
     let Some(pairs) = flag_pairs(args) else {
         return usage();
     };
+    // Unknown flags are usage errors, not silently ignored.
+    const FLAGS: [&str; 5] = ["addr", "store", "workers", "queue", "inflight"];
+    if pairs.iter().any(|(flag, _)| !FLAGS.contains(flag)) {
+        return usage();
+    }
     let Some(addr) = find(&pairs, "addr") else {
         return usage();
     };
     let mut config = ServerConfig::default();
     if let Some(dir) = find(&pairs, "store") {
         config.store_dir = Some(dir.into());
-    }
-    if let Some(value) = find(&pairs, "strategy") {
-        match parse_strategy(value) {
-            Some(strategy) => config.strategy = strategy,
-            None => return usage(),
-        }
     }
     for (flag, slot) in [
         ("workers", &mut config.workers as &mut usize),

@@ -72,10 +72,11 @@
 //! per connection. The enum bytes are defined in [`protocol`]: `mode`
 //! (early-exit 0 / record-all 1), `style` (direct 0 / agent-direct 1 /
 //! agent-indirect 2) and `profile` (an id from the built-in judge
-//! calibration registry, [`protocol::ProfileId`]). A scheduling strategy
-//! is deliberately **not** part of the spec: scheduling belongs to the
-//! server (tenant-fair worker pool), and the pipeline's strategy-parity
-//! law makes records independent of it.
+//! calibration registry, [`protocol::ProfileId`]). Scheduling is
+//! deliberately **not** part of the spec: it belongs to the server, whose
+//! tenant-fair worker pool runs every case through
+//! [`vv_pipeline::ValidationService::process_case`] — the same stage rules
+//! as an in-process run, so records are independent of it.
 //!
 //! `CASE` submits one work item under an open job; `seq` is the client's
 //! submission ordinal, echoed in the matching `RECORD` so the client can

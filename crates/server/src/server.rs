@@ -13,7 +13,7 @@
 //!   the backpressure — see [`crate::tenant`]);
 //! * a fixed **worker pool** pulls cases round-robin across tenants and
 //!   runs [`ValidationService::process_case`], so per-case results are
-//!   byte-identical to a direct in-process run (strategy parity and
+//!   byte-identical to a direct in-process run (worker-count parity and
 //!   store-replay laws);
 //! * results stream back through a per-connection writer; a dead
 //!   connection cancels that client's jobs (queued cases purged,
@@ -49,12 +49,10 @@ use crate::transport::{duplex, Conn, PipeEnd};
 pub struct ServerConfig {
     /// Validation worker threads shared by all tenants.
     pub workers: usize,
-    /// Scheduling strategy of the pooled [`ValidationService`]s. The
-    /// daemon's own per-case dispatch (tenant-fair round robin over the
-    /// worker pool) is strategy-independent — records are byte-identical
-    /// under every strategy by the parity laws — so this selects the
-    /// scheduling used for whole-stream submits through a pooled service
-    /// and is surfaced in `STATS` as deployment provenance.
+    /// Provenance only, reported in `STATS`: the daemon dispatches every
+    /// case through [`ValidationService::process_case`] on its own
+    /// tenant-fair worker pool, so no executor runs and records do not
+    /// depend on this value.
     pub strategy: ExecutionStrategy,
     /// Bounded queue depth per tenant (admission control).
     pub tenant_queue_capacity: usize,
@@ -298,7 +296,6 @@ impl ServerInner {
         Arc::clone(services.entry(spec.key()).or_insert_with(|| {
             let builder = ValidationService::builder()
                 .mode(spec.mode)
-                .strategy(self.config.strategy)
                 .judge_style(spec.style)
                 .judge_profile(spec.profile.profile())
                 .judge_seed(spec.judge_seed);

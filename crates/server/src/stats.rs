@@ -96,9 +96,9 @@ pub struct ServerStats {
     pub draining: bool,
     /// Validation worker threads in the daemon's pool.
     pub workers: u64,
-    /// The [`vv_pipeline::ExecutionStrategy`] label of the pooled
-    /// services (per-case records are identical under every strategy by
-    /// the parity laws; this reports the configured scheduling).
+    /// The configured [`vv_pipeline::ExecutionStrategy`] label, as
+    /// provenance (the daemon dispatches through `process_case` on its own
+    /// worker pool, so it does not change scheduling or records).
     pub strategy: String,
     /// Merged statistics of every case ever served, across all tenants
     /// and jobs (cache/store provenance is tracked by the resident pools

@@ -1,8 +1,8 @@
-//! Campaign quickstart: sweep a scenario matrix — directive model ×
-//! execution strategy here — with every scenario streamed through the
-//! validation service as sharded corpus sources and folded into mergeable
+//! Campaign quickstart: sweep a scenario matrix — directive model × judge
+//! profile here — with every scenario streamed through the validation
+//! service as sharded corpus sources and folded into mergeable
 //! accumulators. Nothing is ever materialized: per scenario, memory is
-//! bounded by the service's channel capacity, not the corpus size.
+//! bounded by the executor's in-flight window, not the corpus size.
 //!
 //! ```text
 //! cargo run --release --example campaign_matrix            # 4 scenarios x 3000 cases
@@ -11,7 +11,7 @@
 
 use llm4vv::campaign::{run_campaign, ScenarioMatrix};
 use vv_dclang::DirectiveModel;
-use vv_pipeline::ExecutionStrategy;
+use vv_judge::JudgeProfile;
 
 fn main() {
     let size: usize = std::env::args()
@@ -19,12 +19,12 @@ fn main() {
         .and_then(|arg| arg.parse().ok())
         .unwrap_or(3_000);
 
-    // 2 models x 2 strategies = 4 scenarios, each streamed as 2 shards.
+    // 2 models x 2 judge profiles = 4 scenarios, each streamed as 2 shards.
     let matrix = ScenarioMatrix::new(size)
         .models(vec![DirectiveModel::OpenAcc, DirectiveModel::OpenMp])
-        .strategies(vec![
-            ExecutionStrategy::Staged,
-            ExecutionStrategy::RayonBatch,
+        .judge_profiles(vec![
+            JudgeProfile::deepseek_agent_direct(),
+            JudgeProfile::deepseek_agent_indirect(),
         ])
         .shards(2);
     println!(

@@ -1,8 +1,8 @@
 //! Validation-service throughput demo: run the same probed OpenACC suite
-//! through all four execution strategies of the `ValidationService`
-//! (early-exit and record-all), compare wall time, judge-stage savings and
-//! verdict agreement, then stream a corpus source through `submit_source`
-//! to show records arriving as the suite is generated on the fly.
+//! through the `ValidationService` at several worker counts (early-exit and
+//! record-all), compare wall time, judge-stage savings and verdict
+//! agreement, then stream a corpus source through `submit_source` to show
+//! records arriving as the suite is generated on the fly.
 //!
 //! ```text
 //! cargo run --release --example validation_pipeline
@@ -10,7 +10,7 @@
 
 use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
-use vv_pipeline::{ExecutionStrategy, PipelineMode, ValidationService, WorkItem};
+use vv_pipeline::{ExecutionStrategy, PipelineMode, PipelineRun, ValidationService, WorkItem};
 use vv_probing::CorpusSpec;
 
 fn spec(size: usize) -> CorpusSpec {
@@ -27,52 +27,46 @@ fn probed_items(size: usize) -> Vec<WorkItem> {
         .map(WorkItem::from)
         .collect();
     println!(
-        "{} probed files materialized for the strategy comparison\n",
+        "{} probed files materialized for the worker-count comparison\n",
         items.len()
     );
     items
 }
 
+fn run(items: &[WorkItem], mode: PipelineMode, workers: usize) -> PipelineRun {
+    ValidationService::builder()
+        .mode(mode)
+        .strategy(ExecutionStrategy::Pipelined { workers })
+        .build()
+        .run(items.to_vec())
+}
+
 fn main() {
     let items = probed_items(120);
 
-    // One service per (strategy, mode) combination — a single entry point,
-    // `run`, regardless of scheduling.
-    let staged = ValidationService::builder().build().run(items.clone());
-    let staged_all = ValidationService::builder()
-        .mode(PipelineMode::RecordAll)
-        .build()
-        .run(items.clone());
-    let sequential = ValidationService::builder()
-        .strategy(ExecutionStrategy::Sequential)
-        .build()
-        .run(items.clone());
-    let batch = ValidationService::builder()
-        .strategy(ExecutionStrategy::RayonBatch)
-        .build()
-        .run(items.clone());
-    let pipelined = ValidationService::builder()
-        .strategy(ExecutionStrategy::Pipelined { workers: 0 })
-        .build()
-        .run(items.clone());
+    // One service per (workers, mode) combination — a single entry point,
+    // `run`, whatever the worker count.
+    let single = run(&items, PipelineMode::EarlyExit, 1);
+    let single_all = run(&items, PipelineMode::RecordAll, 1);
+    let dual = run(&items, PipelineMode::EarlyExit, 2);
+    let all_cores = run(&items, PipelineMode::EarlyExit, 0);
 
-    let agreement = staged
+    let agreement = single
         .records
         .iter()
-        .zip(&sequential.records)
-        .filter(|(a, b)| a.pipeline_verdict() == b.pipeline_verdict())
+        .zip(&all_cores.records)
+        .filter(|(a, b)| a == b)
         .count();
 
     println!(
         "{:<28} {:>10} {:>10} {:>12} {:>16}",
-        "strategy", "wall (ms)", "judged", "savings", "sim. GPU (ms)"
+        "workers", "wall (ms)", "judged", "savings", "sim. GPU (ms)"
     );
     for (name, run) in [
-        ("staged, early-exit", &staged),
-        ("staged, record-all", &staged_all),
-        ("sequential, early-exit", &sequential),
-        ("batch par., early-exit", &batch),
-        ("pipelined, early-exit", &pipelined),
+        ("1 worker, early-exit", &single),
+        ("1 worker, record-all", &single_all),
+        ("2 workers, early-exit", &dual),
+        ("all cores, early-exit", &all_cores),
     ] {
         println!(
             "{:<28} {:>10.1} {:>10} {:>11.0}% {:>16.0}",
@@ -84,27 +78,27 @@ fn main() {
         );
     }
     println!(
-        "\nverdict agreement between staged and sequential strategies: {agreement}/{} files",
-        staged.records.len()
+        "\nidentical records between 1 worker and all cores: {agreement}/{} files",
+        single.records.len()
     );
     println!(
         "early-exit spared the (simulated 33B-parameter) judge {:.0}% of the files that record-all would have sent to the GPU.",
-        (1.0 - staged.stats.judged as f64 / staged_all.stats.judged.max(1) as f64) * 100.0
+        (1.0 - single.stats.judged as f64 / single_all.stats.judged.max(1) as f64) * 100.0
     );
 
-    // Streaming: `submit_source` drains the corpus pipeline lazily through
-    // the bounded channels — generation, probing and validation overlap,
-    // and the suite is never materialized.
+    // Streaming: `submit_source` drains the corpus pipeline lazily under
+    // the executor's in-flight window — generation, probing and validation
+    // overlap, and the suite is never materialized.
     let streaming_spec = spec(40);
     println!(
-        "\nstreaming through submit_source (first 5 completions)\n  source: {}",
+        "\nstreaming through submit_source (first 5 records)\n  source: {}",
         streaming_spec.describe()
     );
     let service = ValidationService::builder().channel_capacity(4).build();
     let stream = service.submit_source(streaming_spec.source());
-    let mut completed = 0usize;
+    let mut streamed = 0usize;
     for record in stream {
-        if completed < 5 {
+        if streamed < 5 {
             println!(
                 "  {:<36} stage {:?}, verdict {:?}",
                 record.id,
@@ -112,7 +106,7 @@ fn main() {
                 record.pipeline_verdict()
             );
         }
-        completed += 1;
+        streamed += 1;
     }
-    println!("  ... {completed} records streamed in completion order");
+    println!("  ... {streamed} records streamed in submission order");
 }

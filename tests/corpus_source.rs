@@ -10,7 +10,7 @@
 
 use vv_corpus::{CaseSource, GeneratedCase, RandomCodeSource, TemplateSource};
 use vv_dclang::DirectiveModel;
-use vv_pipeline::ValidationService;
+use vv_pipeline::{ExecutionStrategy, ValidationService};
 use vv_probing::{CorpusSpec, IssueKind, ProbeConfig, ProbeExt};
 
 const MODELS: [DirectiveModel; 2] = [DirectiveModel::OpenAcc, DirectiveModel::OpenMp];
@@ -177,7 +177,7 @@ fn submit_source_pulls_the_corpus_lazily() {
         });
     let service = ValidationService::builder()
         .channel_capacity(2)
-        .workers(1, 1, 1)
+        .strategy(ExecutionStrategy::Pipelined { workers: 1 })
         .build();
     let mut stream = service.submit_source(source);
     for _ in 0..5 {
@@ -195,11 +195,12 @@ fn submit_source_pulls_the_corpus_lazily() {
 fn a_large_corpus_streams_through_the_service_with_bounded_buffers() {
     // A scaled-down sibling of examples/streaming_scale.rs that runs under
     // `cargo test`: generation → probing → compile → execute → judge over
-    // 2000 cases with tiny channels, counting records as they pass.
+    // 2000 cases with a tiny in-flight window, counting records as they
+    // pass.
     let size = 2_000;
     let service = ValidationService::builder()
         .channel_capacity(8)
-        .workers(2, 2, 1)
+        .strategy(ExecutionStrategy::Pipelined { workers: 2 })
         .build();
     let mut stream = service.submit_source(probed_spec(DirectiveModel::OpenAcc, size, 1).source());
     let mut yielded = 0usize;

@@ -1,18 +1,22 @@
-//! Parity and shutdown laws of the pipelined work-stealing executor
-//! (`ExecutionStrategy::Pipelined`).
+//! Worker-count parity and shutdown laws of the pipelined work-stealing
+//! executor, the one scheduler behind `ValidationService::submit`.
 //!
 //! The contract under test, at release scale:
 //!
-//! * **Byte identity** — for every worker count and compile-cache shard
-//!   layout, `Pipelined` produces records equal (full `CaseRecord`
-//!   equality, every captured field) to the `Sequential` baseline, in both
-//!   pipeline modes;
-//! * **Submission order** — unlike the other streaming strategies, the
-//!   pipelined executor's `RecordStream` yields records in submission
-//!   order (its reorder buffer releases ordinal `n + 1` only after `n`);
+//! * **Byte identity** — the reference is
+//!   `ValidationService::process_case` called in a loop on the test
+//!   thread, with no executor threads. For every worker count and
+//!   compile-cache shard layout the executor produces records equal to it
+//!   (full `CaseRecord` equality, every captured field), in both pipeline
+//!   modes, through `run`, `submit` and `submit_source`; and a warm
+//!   executor replay from an artifact store equals a cold `process_case`
+//!   run;
+//! * **Submission order** — the executor's `RecordStream` yields records
+//!   in submission order (its reorder buffer releases ordinal `n + 1` only
+//!   after `n`);
 //! * **Exact histogram merge** — per-worker judge-latency histograms merge
-//!   into exactly the sequential run's histogram (the accumulator-merge
-//!   law applied to per-worker private stats). Float *sums* of simulated
+//!   into exactly the reference's histogram (the accumulator-merge law
+//!   applied to per-worker private stats). Float *sums* of simulated
 //!   latency are intentionally not asserted — f64 addition is not
 //!   order-stable across schedules;
 //! * **Clean shutdown** — dropping the stream mid-run (any worker count)
@@ -22,21 +26,24 @@
 //! Cache hit/miss *totals* are schedule-dependent under concurrency (two
 //! workers can race-miss the same address), so the cache law asserted here
 //! is conservation — `hits + misses == compiled` — not equality with the
-//! sequential split.
+//! reference's split.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
 use vv_pipeline::{
-    CaseRecord, ExecutionStrategy, PipelineMode, ValidationService, ValidationServiceBuilder,
-    WorkItem,
+    CaseRecord, ExecutionStrategy, PipelineMode, PipelineRun, PipelineStats, ValidationService,
+    ValidationServiceBuilder, WorkItem,
 };
 use vv_probing::{CorpusSpec, ProbeConfig};
+use vv_store::ArtifactStore;
 
-/// Release runs exercise the executor at the scale the ISSUE pins (≥10k
-/// mixed cases); debug builds keep the suite fast.
+/// Release runs exercise the executor at scale (≥10k mixed cases); debug
+/// builds keep the suite fast.
 const SCALE: usize = if cfg!(debug_assertions) { 120 } else { 10_000 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -44,80 +51,167 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// A mixed corpus: half the cases carry probing mutations, so compile
 /// failures, exec failures and judge rejections all occur and every
 /// early-exit path is taken.
-fn mixed_items(model: DirectiveModel, size: usize, seed: u64) -> Vec<WorkItem> {
+fn mixed_spec(model: DirectiveModel, size: usize, seed: u64) -> CorpusSpec {
     let mut probe = ProbeConfig::with_seed(seed ^ 0xA5A5);
     probe.mutated_fraction = 0.5;
-    CorpusSpec::new(model)
-        .seed(seed)
-        .probe(probe)
-        .size(size)
+    CorpusSpec::new(model).seed(seed).probe(probe).size(size)
+}
+
+fn mixed_items(model: DirectiveModel, size: usize, seed: u64) -> Vec<WorkItem> {
+    mixed_spec(model, size, seed)
         .source()
         .into_cases()
         .map(WorkItem::from)
         .collect()
 }
 
-fn builder(mode: PipelineMode, strategy: ExecutionStrategy) -> ValidationServiceBuilder {
-    ValidationService::builder().mode(mode).strategy(strategy)
+fn builder(mode: PipelineMode, workers: usize) -> ValidationServiceBuilder {
+    ValidationService::builder()
+        .mode(mode)
+        .strategy(ExecutionStrategy::Pipelined { workers })
+}
+
+/// The reference run: `process_case` in a loop on the calling thread.
+fn process_cases(service: &ValidationService, items: &[WorkItem]) -> PipelineRun {
+    let stats = Mutex::new(PipelineStats::default());
+    let records = items
+        .iter()
+        .map(|item| service.process_case(item, &stats))
+        .collect();
+    PipelineRun::new(records, stats.into_inner())
+}
+
+fn reference(mode: PipelineMode, items: &[WorkItem]) -> PipelineRun {
+    process_cases(&builder(mode, 1).build(), items)
 }
 
 #[test]
 fn pipelined_is_byte_identical_to_sequential_across_workers_and_shards() {
-    let items = mixed_items(DirectiveModel::OpenAcc, SCALE, 0xBEEF);
-    for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
-        let reference = builder(mode, ExecutionStrategy::Sequential)
-            .build()
-            .run(items.clone());
-        assert_eq!(reference.records.len(), items.len());
-        // Mixed corpus sanity: the parity claim is vacuous unless every
-        // stage actually rejects something.
-        assert!(reference.stats.compile_failures > 0, "no compile failures");
+    for (model, size, seed) in [
+        (DirectiveModel::OpenAcc, SCALE, 0xBEEF),
+        (DirectiveModel::OpenMp, SCALE / 4, 0xBEEF),
+    ] {
+        let spec = mixed_spec(model, size, seed);
+        let items: Vec<WorkItem> = spec.source().into_cases().map(WorkItem::from).collect();
+        for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
+            let reference = reference(mode, &items);
+            assert_eq!(reference.records.len(), items.len());
+            // Mixed corpus sanity: the parity claim is vacuous unless every
+            // stage actually rejects something.
+            if size == SCALE {
+                assert!(reference.stats.compile_failures > 0, "no compile failures");
+            }
 
-        for workers in WORKER_COUNTS {
-            // Shard layouts: the default sharded cache and the single-lock
-            // single-shard layout both uphold the identity.
-            for shards in [0usize, 1] {
-                let run = builder(mode, ExecutionStrategy::Pipelined { workers })
-                    .compile_cache_shards(shards)
-                    .build()
-                    .run(items.clone());
-                assert_eq!(
-                    reference.records, run.records,
-                    "{mode:?} workers={workers} shards={shards} diverged from Sequential"
-                );
-                assert_eq!(
-                    run.stats.compile_cache_hits + run.stats.compile_cache_misses,
-                    run.stats.compiled,
-                    "{mode:?} workers={workers} shards={shards}: cache counter conservation"
-                );
+            for workers in WORKER_COUNTS {
+                // Shard layouts: the default sharded cache streams the
+                // corpus straight in (generation → probing → validation, no
+                // materialized suite), the single-lock single-shard layout
+                // runs the materialized items. Two runs per worker count
+                // equal to one reference also make reruns deterministic.
+                for shards in [0usize, 1] {
+                    let service = builder(mode, workers).compile_cache_shards(shards).build();
+                    let run = match shards {
+                        0 => service.run_source(spec.source()),
+                        _ => service.run(items.clone()),
+                    };
+                    assert_eq!(
+                        reference.records, run.records,
+                        "{model} seed={seed} {mode:?} workers={workers} shards={shards} \
+                         diverged from process_case"
+                    );
+                    assert_eq!(
+                        run.stats.compile_cache_hits + run.stats.compile_cache_misses,
+                        run.stats.compiled,
+                        "{model} {mode:?} workers={workers} shards={shards}: cache counter \
+                         conservation"
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
+fn streaming_submit_matches_the_batch_run() {
+    let items = mixed_items(DirectiveModel::OpenMp, 30, 2024);
+    let service = ValidationService::builder()
+        .mode(PipelineMode::RecordAll)
+        .build();
+
+    let batch = service.run(items.clone());
+
+    // submit() yields in submission order: the streamed records are
+    // exactly the batch records, and the final stream stats agree on every
+    // counter (wall time differs by construction).
+    let mut stream = service.submit(items.clone());
+    let streamed: Vec<CaseRecord> = stream.by_ref().collect();
+    assert_eq!(streamed, batch.records);
+    let stream_stats = stream.stats();
+    assert_eq!(stream_stats.submitted, batch.stats.submitted);
+    assert_eq!(stream_stats.judged, batch.stats.judged);
+    assert_eq!(stream_stats.compile_failures, batch.stats.compile_failures);
+}
+
+#[test]
+fn warm_executor_replay_equals_a_cold_process_case_run() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("vv-parallel-parity-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let items = mixed_items(DirectiveModel::OpenAcc, SCALE.min(1_000), 0x5707);
+    for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
+        let cold = {
+            let store = ArtifactStore::open_shared(&dir).expect("open store");
+            let service = builder(mode, 1).artifact_store(store).build();
+            let cold = process_cases(&service, &items);
+            service.record_store().expect("record store").flush();
+            cold
+        };
+        assert_eq!(cold.stats.store_hits + cold.stats.store_misses, items.len());
+        assert_eq!(
+            cold.records,
+            reference(mode, &items).records,
+            "{mode:?}: the store layer changed a cold record"
+        );
+
+        // Reopen from disk: the replay must come from durable state.
+        let store = ArtifactStore::open_shared(&dir).expect("reopen store");
+        for workers in WORKER_COUNTS {
+            let warm = builder(mode, workers)
+                .artifact_store(Arc::clone(&store))
+                .build()
+                .run(items.clone());
+            assert_eq!(
+                warm.stats.store_hits,
+                items.len(),
+                "{mode:?} workers={workers}: not every case replayed"
+            );
+            assert_eq!(
+                cold.records, warm.records,
+                "{mode:?} workers={workers}: warm replay diverged from the cold run"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn per_worker_judge_latency_histograms_merge_exactly() {
     // RecordAll judges every case, maximizing the histogram mass.
     let items = mixed_items(DirectiveModel::OpenMp, SCALE / 2, 0xD00D);
-    let sequential = builder(PipelineMode::RecordAll, ExecutionStrategy::Sequential)
-        .build()
-        .run(items.clone());
+    let reference = reference(PipelineMode::RecordAll, &items);
     for workers in WORKER_COUNTS {
-        let run = builder(
-            PipelineMode::RecordAll,
-            ExecutionStrategy::Pipelined { workers },
-        )
-        .build()
-        .run(items.clone());
-        assert_eq!(run.stats.judged, sequential.stats.judged);
+        let run = builder(PipelineMode::RecordAll, workers)
+            .build()
+            .run(items.clone());
+        assert_eq!(run.stats.judged, reference.stats.judged);
         assert_eq!(
-            run.stats.judge_latency, sequential.stats.judge_latency,
-            "workers={workers}: merged per-worker histogram differs from sequential"
+            run.stats.judge_latency, reference.stats.judge_latency,
+            "workers={workers}: merged per-worker histogram differs from process_case"
         );
         // Exact merge implies exact quantiles.
         assert_eq!(
             run.stats.judge_latency_p95(),
-            sequential.stats.judge_latency_p95()
+            reference.stats.judge_latency_p95()
         );
     }
 }
@@ -127,11 +221,7 @@ fn pipelined_stream_yields_records_in_submission_order() {
     let items = mixed_items(DirectiveModel::OpenAcc, SCALE.min(2000), 7);
     let expected_ids: Vec<String> = items.iter().map(|item| item.id.clone()).collect();
     for workers in [2, 8] {
-        let service = builder(
-            PipelineMode::RecordAll,
-            ExecutionStrategy::Pipelined { workers },
-        )
-        .build();
+        let service = builder(PipelineMode::RecordAll, workers).build();
         let yielded: Vec<String> = service
             .submit(items.clone())
             .map(|record: CaseRecord| record.id)
@@ -157,12 +247,9 @@ fn dropping_the_stream_mid_run_shuts_down_cleanly() {
             let lazy = items.clone().into_iter().inspect(move |_| {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
-            let service = builder(
-                PipelineMode::RecordAll,
-                ExecutionStrategy::Pipelined { workers },
-            )
-            .channel_capacity(4)
-            .build();
+            let service = builder(PipelineMode::RecordAll, workers)
+                .channel_capacity(4)
+                .build();
             let mut stream = service.submit(lazy);
             for _ in 0..taken {
                 assert!(
@@ -180,11 +267,7 @@ fn dropping_the_stream_mid_run_shuts_down_cleanly() {
         }
         // The service survives abandoned streams: a fresh full run still
         // completes and accounts for every submission.
-        let service = builder(
-            PipelineMode::RecordAll,
-            ExecutionStrategy::Pipelined { workers },
-        )
-        .build();
+        let service = builder(PipelineMode::RecordAll, workers).build();
         let rerun = service.run(items.clone());
         assert_eq!(rerun.records.len(), total);
     }

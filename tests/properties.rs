@@ -2,11 +2,12 @@
 //!
 //! The crates.io `proptest` harness is unavailable in the offline build
 //! environment, so these properties are checked over deterministic sweeps
-//! of seeds, sizes and worker configurations instead of randomized
+//! of seeds, sizes and worker counts instead of randomized
 //! strategies. The invariants are the same ones the proptest version
 //! asserted; the sweep grids are chosen to cover both models and a spread
 //! of suite shapes.
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,7 +15,7 @@ use vv_corpus::{CaseSource, GeneratedCase, TemplateSource};
 use vv_dclang::DirectiveModel;
 use vv_judge::Verdict;
 use vv_metrics::{overall, per_issue, radar_series, EvaluationRecord};
-use vv_pipeline::{ValidationService, WorkItem};
+use vv_pipeline::{CaseRecord, ExecutionStrategy, PipelineStats, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, IssueKind};
 
 fn probed_cases(model: DirectiveModel, size: usize, seed: u64) -> Vec<GeneratedCase> {
@@ -129,35 +130,39 @@ fn probing_always_splits_at_the_requested_fraction() {
 
 #[test]
 fn staged_pipeline_equals_sequential_for_any_worker_shape() {
-    // Sweep over models, seeds and worker configurations; the staged
-    // multi-worker service and the sequential baseline must always agree on
-    // every verdict and on how far every file progressed.
-    let shapes = [(1usize, 1usize), (2, 3), (4, 1), (3, 2)];
+    // Sweep over models, seeds and worker counts; the stage-pipelined
+    // multi-worker executor and the sequential `process_case` loop must
+    // always agree on every record, and so on every verdict and on how far
+    // every file progressed.
+    let worker_counts = [1usize, 2, 3, 4];
     let seeds = [0u64, 59, 131, 197];
     for model in MODELS {
-        for (seed, (compile_workers, judge_workers)) in seeds.into_iter().zip(shapes) {
-            run_parity_case(model, seed, compile_workers, judge_workers);
+        for (seed, workers) in seeds.into_iter().zip(worker_counts) {
+            run_parity_case(model, seed, workers);
         }
     }
 }
 
-fn run_parity_case(model: DirectiveModel, seed: u64, compile_workers: usize, judge_workers: usize) {
+fn run_parity_case(model: DirectiveModel, seed: u64, workers: usize) {
     let items: Vec<WorkItem> = probed_cases(model, 14, seed)
         .into_iter()
         .map(WorkItem::from)
         .collect();
     let staged = ValidationService::builder()
-        .workers(compile_workers, 2, judge_workers)
+        .strategy(ExecutionStrategy::Pipelined { workers })
         .build()
         .run(items.clone());
-    let sequential = ValidationService::builder()
-        .strategy(vv_pipeline::ExecutionStrategy::Sequential)
-        .build()
-        .run(items);
-    assert_eq!(staged.records.len(), sequential.records.len());
-    for (a, b) in staged.records.iter().zip(&sequential.records) {
+    let service = ValidationService::builder().build();
+    let stats = Mutex::new(PipelineStats::default());
+    let sequential: Vec<CaseRecord> = items
+        .iter()
+        .map(|item| service.process_case(item, &stats))
+        .collect();
+    assert_eq!(staged.records.len(), sequential.len());
+    for (a, b) in staged.records.iter().zip(&sequential) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.pipeline_verdict(), b.pipeline_verdict());
         assert_eq!(a.stage_reached(), b.stage_reached());
+        assert_eq!(a, b, "{model} seed={seed} workers={workers}");
     }
 }

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 
 use llm4vv::campaign::{run_campaign, ScenarioMatrix};
 use llm4vv::incremental::{plan_campaign_delta, run_incremental_campaign, stage_stats};
-use vv_pipeline::ExecutionStrategy;
+use vv_judge::JudgeProfile;
 use vv_store::{check, fnv1a, kind, ArtifactStore, Journal};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -48,9 +48,9 @@ fn sweep_scale() -> (usize, usize) {
 fn campaign_matrix() -> ScenarioMatrix {
     let size = if cfg!(debug_assertions) { 60 } else { 2_000 };
     ScenarioMatrix::new(size)
-        .strategies(vec![
-            ExecutionStrategy::Staged,
-            ExecutionStrategy::Sequential,
+        .judge_profiles(vec![
+            JudgeProfile::deepseek_agent_direct(),
+            JudgeProfile::deepseek_agent_indirect(),
         ])
         .shards(2)
 }

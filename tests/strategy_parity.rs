@@ -1,19 +1,30 @@
-//! Runner-parity determinism tests: the `Staged`, `Sequential` and
-//! `RayonBatch` strategies of the `ValidationService` must produce
-//! **byte-identical** `CaseRecord`s — same verdicts, same summaries, same
-//! judge prompts and responses — for the same seeds and inputs, in both
-//! `EarlyExit` and `RecordAll` modes. This is the contract that lets the
-//! ablation benchmarks compare scheduling strategies without re-validating
-//! semantics, and it is asserted here over full record equality
-//! (`CaseRecord: PartialEq` covers every captured field).
+//! Execution-strategy parity at debug scale: every
+//! `ExecutionStrategy::Pipelined { workers }` of the `ValidationService`
+//! must produce **byte-identical** `CaseRecord`s — same verdicts, same
+//! summaries, same judge prompts and responses — to
+//! `ValidationService::process_case` called in a loop on the test thread,
+//! for the same seeds and inputs, in both `EarlyExit` and `RecordAll`
+//! modes. This is the contract that lets benchmarks vary the worker count
+//! without re-validating semantics, and it is asserted here over full
+//! record equality (`CaseRecord: PartialEq` covers every captured field).
+//! `tests/parallel_parity.rs` checks the same laws at release scale.
 
+use parking_lot::Mutex;
 use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
 use vv_pipeline::{
-    CaseRecord, ExecutionStrategy, PipelineMode, ValidationService, ValidationServiceBuilder,
-    WorkItem,
+    CaseRecord, ExecutionStrategy, PipelineMode, PipelineStats, ValidationService,
+    ValidationServiceBuilder, WorkItem,
 };
 use vv_probing::CorpusSpec;
+
+/// The default (all cores) plus explicit worker counts.
+const STRATEGIES: [ExecutionStrategy; 4] = [
+    ExecutionStrategy::Pipelined { workers: 0 },
+    ExecutionStrategy::Pipelined { workers: 1 },
+    ExecutionStrategy::Pipelined { workers: 2 },
+    ExecutionStrategy::Pipelined { workers: 3 },
+];
 
 fn probed_spec(model: DirectiveModel, size: usize, seed: u64) -> CorpusSpec {
     CorpusSpec::new(model)
@@ -31,10 +42,7 @@ fn probed_items(model: DirectiveModel, size: usize, seed: u64) -> Vec<WorkItem> 
 }
 
 fn builder(mode: PipelineMode, strategy: ExecutionStrategy) -> ValidationServiceBuilder {
-    ValidationService::builder()
-        .mode(mode)
-        .strategy(strategy)
-        .workers(3, 2, 2)
+    ValidationService::builder().mode(mode).strategy(strategy)
 }
 
 fn records_for(
@@ -45,18 +53,28 @@ fn records_for(
     builder(mode, strategy).build().run(items.to_vec()).records
 }
 
+/// The reference: `process_case` in a loop, no executor threads.
+fn sequential_records(mode: PipelineMode, items: &[WorkItem]) -> Vec<CaseRecord> {
+    let service = builder(mode, ExecutionStrategy::default()).build();
+    let stats = Mutex::new(PipelineStats::default());
+    items
+        .iter()
+        .map(|item| service.process_case(item, &stats))
+        .collect()
+}
+
 #[test]
 fn strategies_produce_byte_identical_records_in_both_modes() {
     for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
         let items = probed_items(model, 36, 4711);
         for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
-            let reference = records_for(mode, ExecutionStrategy::Staged, &items);
+            let reference = sequential_records(mode, &items);
             assert_eq!(reference.len(), items.len());
-            for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::RayonBatch] {
+            for strategy in STRATEGIES {
                 let candidate = records_for(mode, strategy, &items);
                 assert_eq!(
                     reference, candidate,
-                    "{model} {mode:?}: {strategy:?} diverged from Staged"
+                    "{model} {mode:?}: {strategy:?} diverged from process_case"
                 );
             }
         }
@@ -71,11 +89,8 @@ fn strategies_produce_byte_identical_records_through_submit_source() {
     // equal the records of the materialized item path.
     let spec = probed_spec(DirectiveModel::OpenAcc, 32, 9182);
     for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
-        let via_items = builder(mode, ExecutionStrategy::Staged)
-            .build()
-            .run(probed_items(DirectiveModel::OpenAcc, 32, 9182))
-            .records;
-        for strategy in ExecutionStrategy::ALL {
+        let via_items = sequential_records(mode, &probed_items(DirectiveModel::OpenAcc, 32, 9182));
+        for strategy in STRATEGIES {
             let streamed = builder(mode, strategy)
                 .build()
                 .run_source(spec.source())
@@ -91,7 +106,7 @@ fn strategies_produce_byte_identical_records_through_submit_source() {
 #[test]
 fn reruns_are_deterministic_per_strategy() {
     let items = probed_items(DirectiveModel::OpenAcc, 24, 99);
-    for strategy in ExecutionStrategy::ALL {
+    for strategy in STRATEGIES {
         let first = records_for(PipelineMode::RecordAll, strategy, &items);
         let second = records_for(PipelineMode::RecordAll, strategy, &items);
         assert_eq!(
@@ -102,37 +117,8 @@ fn reruns_are_deterministic_per_strategy() {
 }
 
 #[test]
-fn streaming_submit_matches_the_batch_run() {
-    let items = probed_items(DirectiveModel::OpenMp, 30, 2024);
-    let service = ValidationService::builder()
-        .mode(PipelineMode::RecordAll)
-        .build();
-
-    let batch = service.run(items.clone());
-
-    // submit() yields in completion order; re-keying by id must reproduce
-    // exactly the batch records, and the final stream stats must agree on
-    // every counter (wall time differs by construction).
-    let mut stream = service.submit(items.clone());
-    let mut streamed: Vec<CaseRecord> = Vec::new();
-    for record in &mut stream {
-        streamed.push(record);
-    }
-    assert_eq!(streamed.len(), batch.records.len());
-    let stream_stats = stream.stats();
-    assert_eq!(stream_stats.submitted, batch.stats.submitted);
-    assert_eq!(stream_stats.judged, batch.stats.judged);
-    assert_eq!(stream_stats.compile_failures, batch.stats.compile_failures);
-
-    streamed.sort_by(|a, b| a.id.cmp(&b.id));
-    let mut expected = batch.records.clone();
-    expected.sort_by(|a, b| a.id.cmp(&b.id));
-    assert_eq!(streamed, expected);
-}
-
-#[test]
 fn streaming_handles_lazily_generated_unbounded_style_input() {
-    // The iterator is consumed lazily through the bounded channels: feed a
+    // The iterator is consumed lazily through the in-flight window: feed a
     // generator that would be wasteful to materialize, stop consuming after
     // a prefix, and drop the stream — the tail must never be produced.
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,7 +133,7 @@ fn streaming_handles_lazily_generated_unbounded_style_input() {
 
     let service = ValidationService::builder()
         .channel_capacity(2)
-        .workers(1, 1, 1)
+        .strategy(ExecutionStrategy::Pipelined { workers: 1 })
         .build();
     let mut stream = service.submit(lazy);
     for _ in 0..5 {
