@@ -77,7 +77,7 @@ fn bench_protocol(c: &mut Criterion) {
             b.iter(|| criterion::black_box(client.stats().expect("stats").connections));
         });
         drop(client);
-        server.handle().shutdown();
+        server.handle().shutdown().expect("store seals");
         server.join();
     }
 
@@ -128,7 +128,7 @@ fn write_bench_point() {
     let loopback_secs = started.elapsed().as_secs_f64();
     assert_eq!(remote.records.len(), size);
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 
     let direct_cps = size as f64 / direct_secs;

@@ -76,8 +76,6 @@ pub struct Scenario {
     pub probe_seed: u64,
     /// Seed for the judge's decision layer.
     pub judge_seed: u64,
-    /// Minimum in-flight window of the scenario's service.
-    pub channel_capacity: usize,
 }
 
 impl Scenario {
@@ -129,7 +127,6 @@ impl Scenario {
     fn builder(&self) -> vv_pipeline::ValidationServiceBuilder {
         ValidationService::builder()
             .mode(PipelineMode::RecordAll)
-            .channel_capacity(self.channel_capacity)
             .judge_style(self.prompt_style)
             .judge_profile(self.judge_profile.clone())
             .judge_seed(self.judge_seed)
@@ -180,7 +177,6 @@ pub struct ScenarioMatrix {
     corpus_seed: u64,
     probe_seed: u64,
     judge_seed: u64,
-    channel_capacity: usize,
 }
 
 impl ScenarioMatrix {
@@ -197,7 +193,6 @@ impl ScenarioMatrix {
             corpus_seed: 0xCA_3B_01,
             probe_seed: 0xCA_3B_02,
             judge_seed: 0xCA_3B_03,
-            channel_capacity: 64,
         }
     }
 
@@ -266,12 +261,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Minimum in-flight window of each scenario's service.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
-        self
-    }
-
     /// Number of scenarios the matrix enumerates.
     pub fn len(&self) -> usize {
         self.models.len()
@@ -310,7 +299,6 @@ impl ScenarioMatrix {
                             corpus_seed: self.corpus_seed,
                             probe_seed: self.probe_seed,
                             judge_seed: self.judge_seed,
-                            channel_capacity: self.channel_capacity,
                         });
                     }
                 }

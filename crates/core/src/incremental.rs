@@ -65,10 +65,10 @@ pub const JOURNAL_FILE: &str = "journal.vvj";
 pub const GROUP_COMMIT_FRAMES: usize = 256;
 
 /// The journal tag identifying a campaign: the matrix's `Debug` rendering,
-/// which covers every axis, seed and the in-flight window. Any
-/// change to the matrix therefore resets the journal (never replaying
-/// frames from a differently shaped campaign) while the artifact store
-/// keeps serving whatever per-case records remain valid.
+/// which covers every axis and seed. Any change to the matrix — or to
+/// the fields the rendering lists — therefore resets the journal (never
+/// replaying frames from a differently shaped campaign) while the artifact
+/// store keeps serving whatever per-case records remain valid.
 pub fn campaign_tag(matrix: &ScenarioMatrix) -> String {
     format!("{matrix:?}")
 }

@@ -18,8 +18,8 @@
 //! (wall time and cache/store provenance legitimately differ — the
 //! daemon's pools are warm).
 //!
-//! What does **not** travel: the scenario's local in-flight window — it
-//! belongs to whichever service executes, and the pipeline's worker-count
+//! What does **not** travel: the in-flight window — it belongs to
+//! whichever service executes, and the pipeline's worker-count
 //! parity law guarantees the records are byte-identical regardless. What
 //! *cannot* travel: a custom [`JudgeProfile`](vv_judge::JudgeProfile) —
 //! the wire pins the built-in calibrations by
@@ -31,7 +31,7 @@ use std::fmt;
 use vv_corpus::CaseSource;
 use vv_pipeline::{PipelineMode, WorkItem};
 use vv_probing::IssueKind;
-use vv_server::{Client, ClientError, JobSpec, ProfileId};
+use vv_server::{Client, ClientError, JobSpec, ProfileId, ProtocolError};
 
 use crate::campaign::{CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
 
@@ -119,9 +119,9 @@ pub fn run_scenario_remote(
         let mut job = client.submit(spec, items)?;
         for result in &mut job {
             let (seq, record) = result?;
-            let issue = *issues
-                .get(seq as usize)
-                .expect("server echoes only submitted ordinals");
+            let issue = *issues.get(seq as usize).ok_or(ClientError::Protocol(
+                ProtocolError::Malformed("record ordinal was never submitted"),
+            ))?;
             shard.observe(issue, &record);
         }
         shard.stats = job.stats().cloned().ok_or(ClientError::Broken)?;
@@ -153,7 +153,9 @@ mod tests {
     use crate::campaign::run_scenario;
     use crate::incremental::stage_stats;
     use vv_judge::JudgeProfile;
-    use vv_server::{Server, ServerConfig};
+    use vv_pipeline::{encode_record, CaseRecord, CompileSummary};
+    use vv_server::protocol::{read_frame, write_frame, Response};
+    use vv_server::{duplex, PipeEnd, Server, ServerConfig, PROTOCOL_VERSION};
 
     fn tiny_matrix() -> ScenarioMatrix {
         ScenarioMatrix::new(if cfg!(debug_assertions) { 24 } else { 96 }).shards(2)
@@ -180,7 +182,7 @@ mod tests {
         let mut client = Client::over(Box::new(server.connect()), "remote-test").unwrap();
         let remote = run_scenario_remote(&scenario, &mut client).unwrap();
         drop(client);
-        server.handle().shutdown();
+        server.handle().shutdown().expect("store seals");
         server.join();
 
         assert_eq!(remote.judge, local.judge);
@@ -188,5 +190,50 @@ mod tests {
         assert_eq!(remote.judge_load, local.judge_load);
         assert_eq!(stage_stats(&remote.stats), stage_stats(&local.stats));
         assert_eq!(remote.cases(), local.cases());
+    }
+
+    /// A scripted peer: answers the handshake, then echoes one record under
+    /// an ordinal no client submitted, and drains until the client hangs up.
+    fn echo_a_stray_ordinal(mut conn: PipeEnd) {
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut conn, &mut buf).expect("HELLO"));
+        let hello = Response::HelloOk {
+            protocol: PROTOCOL_VERSION,
+            server: "scripted".into(),
+        };
+        write_frame(&mut conn, &hello.encode()).expect("HELLO_OK");
+        assert!(read_frame(&mut conn, &mut buf).expect("OPEN_JOB"));
+        let record = CaseRecord {
+            id: "stray".into(),
+            compile: CompileSummary {
+                return_code: 0,
+                stdout: "".into(),
+                stderr: "".into(),
+                succeeded: true,
+            },
+            exec: None,
+            judgement: None,
+        };
+        let stray = Response::Record {
+            job: 1,
+            seq: 1 << 40,
+            record: encode_record(&record),
+        };
+        write_frame(&mut conn, &stray.encode()).expect("RECORD");
+        while let Ok(true) = read_frame(&mut conn, &mut buf) {}
+    }
+
+    #[test]
+    fn an_out_of_range_record_ordinal_is_an_error_not_a_panic() {
+        let scenario = tiny_matrix().scenarios().remove(0);
+        let (client_end, server_end) = duplex(64 * 1024);
+        let peer = std::thread::spawn(move || echo_a_stray_ordinal(server_end));
+        let mut client = Client::over(Box::new(client_end), "remote-test").unwrap();
+        match run_scenario_remote(&scenario, &mut client) {
+            Err(RemoteError::Client(ClientError::Protocol(ProtocolError::Malformed(_)))) => {}
+            other => panic!("expected a malformed-message error, got {other:?}"),
+        }
+        drop(client);
+        peer.join().expect("scripted peer");
     }
 }

@@ -255,22 +255,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// The paper's experimental setup: record everything so both the
-    /// pipeline verdicts and the stand-alone judge verdicts can be derived.
-    pub fn record_all(mut self) -> Self {
-        self.mode = PipelineMode::RecordAll;
-        self
-    }
-
-    /// Use the indirect-analysis judge (LLMJ 2 / Pipeline 2).
-    pub fn with_indirect_judge(mut self) -> Self {
-        self.judge_style = PromptStyle::AgentIndirect;
-        self.judge_profile = JudgeProfile::deepseek_agent_indirect();
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,8 +346,16 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let config = PipelineConfig::default().record_all().with_indirect_judge();
+        let service = ValidationService::builder()
+            .mode(PipelineMode::RecordAll)
+            .indirect_judge()
+            .build();
+        let config = service.config();
         assert_eq!(config.mode, PipelineMode::RecordAll);
         assert_eq!(config.judge_style, PromptStyle::AgentIndirect);
+        assert_eq!(
+            config.judge_profile,
+            JudgeProfile::deepseek_agent_indirect()
+        );
     }
 }

@@ -42,7 +42,7 @@
 //! worker retires (exact under the accumulator-merge law), and each
 //! worker leases its own `CompileSession`s (returned to the backend's
 //! pool at exit). The compile cache the sessions share is internally
-//! sharded ([`vv_simcompiler::CompileCache::with_shards`]) with per-shard
+//! sharded ([`vv_simcompiler::DEFAULT_CACHE_SHARDS`] ways) with per-shard
 //! locks and counters. What remains shared — the stage queues, the
 //! reorder buffer, the admission iterator — is touched once per stage
 //! transition, not per unit of stage work.

@@ -34,7 +34,7 @@ use crate::stats::PipelineStats;
 use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
 use vv_judge::{JudgeProfile, PromptStyle};
-use vv_simcompiler::{CacheAdmission, CompileCache, PersistentCache};
+use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
 /// How the service schedules the per-file work: the stage-pipelined
@@ -101,19 +101,10 @@ pub struct ValidationServiceBuilder {
     exec: Option<Arc<dyn ExecBackend>>,
     judge: Option<Arc<dyn JudgeBackend>>,
     store: Option<Arc<ArtifactStore>>,
-    cache_capacity: Option<usize>,
-    cache_admission: Option<CacheAdmission>,
-    cache_shards: Option<usize>,
     judge_pacing: Option<f64>,
 }
 
 impl ValidationServiceBuilder {
-    /// Start from an existing [`PipelineConfig`].
-    pub fn config(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Early-exit (production) or record-all (experimental) mode.
     pub fn mode(mut self, mode: PipelineMode) -> Self {
         self.config.mode = mode;
@@ -178,14 +169,8 @@ impl ValidationServiceBuilder {
     /// [`SimCompileBackend`] around `cache`). Several services — e.g. the
     /// scenarios of a campaign that re-run identical corpus shards — can
     /// share one cache and compile each distinct source once between them.
-    pub fn compile_cache(self, cache: Arc<vv_simcompiler::CompileCache>) -> Self {
+    pub fn compile_cache(self, cache: Arc<CompileCache>) -> Self {
         self.sim_compile_backend(SimCompileBackend::cached(cache))
-    }
-
-    /// Compile every file afresh (no content-addressed cache); the
-    /// benchmark baseline and the choice for memory-austere deployments.
-    pub fn uncached_compile(self) -> Self {
-        self.sim_compile_backend(SimCompileBackend::uncached())
     }
 
     /// Compile through a two-tier persistent cache (memory over a durable
@@ -194,38 +179,6 @@ impl ValidationServiceBuilder {
     /// over the same store) for whole-record persistence.
     pub fn persistent_compile(self, persist: Arc<PersistentCache>) -> Self {
         self.sim_compile_backend(SimCompileBackend::persistent(persist))
-    }
-
-    /// Capacity of the *default* compile cache's hot generation (total
-    /// retention is bounded by twice this; see
-    /// [`vv_simcompiler::CacheAdmission`] for the eviction scheme). Ignored
-    /// when an explicit compile backend is plugged in.
-    pub fn compile_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Admission policy of the *default* compile cache:
-    /// [`CacheAdmission::SecondTouch`] (the default — an address must
-    /// recur before its outcome is memoized, so single-use sources never
-    /// consume capacity) or [`CacheAdmission::FirstTouch`] (memoize
-    /// immediately — better for small working sets known to recur).
-    /// Ignored when an explicit compile backend is plugged in.
-    pub fn compile_cache_admission(mut self, admission: CacheAdmission) -> Self {
-        self.cache_admission = Some(admission);
-        self
-    }
-
-    /// Shard count of the *default* compile cache (`0` = the library
-    /// default, [`vv_simcompiler::DEFAULT_CACHE_SHARDS`]). Each shard has
-    /// its own lock and hit/miss counters, so concurrent compile workers
-    /// contend only when their sources hash to the same shard;
-    /// [`vv_simcompiler::CompileCache::stats`] still reports the merged
-    /// totals. Use `1` to restore the single-lock layout. Ignored when an
-    /// explicit compile backend or cache is plugged in.
-    pub fn compile_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = Some(shards);
-        self
     }
 
     /// Pace the judge stage: sleep `latency_ms × scale` after every
@@ -285,19 +238,7 @@ impl ValidationServiceBuilder {
         let compile: Arc<dyn CompileBackend> = match self.compile {
             Some(backend) => backend,
             None => {
-                let cache = if self.cache_capacity.is_none()
-                    && self.cache_admission.is_none()
-                    && self.cache_shards.is_none()
-                {
-                    CompileCache::shared()
-                } else {
-                    Arc::new(CompileCache::with_shards(
-                        self.cache_capacity
-                            .unwrap_or(vv_simcompiler::cache::DEFAULT_CACHE_CAPACITY),
-                        self.cache_admission.unwrap_or_default(),
-                        self.cache_shards.unwrap_or(0),
-                    ))
-                };
+                let cache = CompileCache::shared();
                 let backend = Arc::new(match &self.store {
                     Some(store) => SimCompileBackend::persistent(Arc::new(PersistentCache::new(
                         cache,
@@ -368,11 +309,6 @@ impl ValidationService {
     /// A builder with default config, strategy and backends.
     pub fn builder() -> ValidationServiceBuilder {
         ValidationServiceBuilder::default()
-    }
-
-    /// A service with the given config and default backends/strategy.
-    pub fn new(config: PipelineConfig) -> Self {
-        Self::builder().config(config).build()
     }
 
     /// The effective configuration.

@@ -240,8 +240,10 @@ impl Drop for Client {
 /// An in-flight campaign: a blocking iterator over completed cases.
 ///
 /// Yields `(seq, record)` pairs in **completion order** — `seq` is the
-/// submission ordinal echoed by the server. Iteration ends (`None`) when
-/// `JOB_DONE` arrives; [`Job::into_run`] is the usual way to consume it.
+/// submission ordinal echoed by the server, always below
+/// [`Job::expected`] (an out-of-range ordinal is a protocol error).
+/// Iteration ends (`None`) when `JOB_DONE` arrives; [`Job::into_run`] is
+/// the usual way to consume it.
 ///
 /// Dropping the job before `JOB_DONE` poisons the client and closes the
 /// connection — the server cancels the remaining work.
@@ -297,6 +299,12 @@ impl Iterator for Job<'_> {
             }
         };
         match response {
+            Response::Record { job, seq, .. } if job == self.id && seq >= self.expected as u64 => {
+                self.finished = true;
+                Some(Err(ClientError::Protocol(ProtocolError::Malformed(
+                    "record ordinal was never submitted",
+                ))))
+            }
             Response::Record { job, seq, record } if job == self.id => {
                 match decode_record(&record) {
                     Some(record) => Some(Ok((seq, record))),

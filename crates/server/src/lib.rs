@@ -100,7 +100,8 @@
 //! against direct in-process runs. `JOB_DONE.stats` is the
 //! [`vv_pipeline::PipelineStats`] wire encoding with this job's counters.
 //! Records of one job arrive in completion order (not submission order),
-//! interleaved with nothing else for that client connection.
+//! interleaved with nothing else for that client connection; a `RECORD`
+//! whose `seq` the client never submitted is a protocol error.
 //!
 //! ## Tenancy, backpressure, cancellation
 //!
@@ -122,7 +123,8 @@
 //! in-flight work completes, open journals group-commit, the store seals
 //! (flush + manifest commit) and releases its lockfile, and only then is
 //! `SHUTDOWN_OK` sent — after which the directory passes `vv-store fsck`
-//! clean.
+//! clean. A seal that fails is answered with an `ERROR` of
+//! [`protocol::ErrorCode::Store`] instead; the server stops either way.
 
 pub mod client;
 pub mod protocol;

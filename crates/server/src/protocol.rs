@@ -302,6 +302,10 @@ pub enum ErrorCode {
     Draining,
     /// A `CASE`/`FINISH_JOB` referenced a job id that was never opened.
     UnknownJob,
+    /// `SHUTDOWN` drained every case but could not seal the store; the
+    /// server stops anyway, and records written since the last seal may
+    /// be lost.
+    Store,
 }
 
 impl ErrorCode {
@@ -310,6 +314,7 @@ impl ErrorCode {
             ErrorCode::Protocol => 1,
             ErrorCode::Draining => 2,
             ErrorCode::UnknownJob => 3,
+            ErrorCode::Store => 4,
         }
     }
 
@@ -318,6 +323,7 @@ impl ErrorCode {
             1 => Some(ErrorCode::Protocol),
             2 => Some(ErrorCode::Draining),
             3 => Some(ErrorCode::UnknownJob),
+            4 => Some(ErrorCode::Store),
             _ => None,
         }
     }
@@ -636,6 +642,10 @@ mod tests {
             Response::Error {
                 code: ErrorCode::Draining,
                 message: "draining".into(),
+            },
+            Response::Error {
+                code: ErrorCode::Store,
+                message: "store seal failed".into(),
             },
         ];
         for response in responses {

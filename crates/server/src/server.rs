@@ -20,7 +20,9 @@
 //!   in-flight results discarded) without touching other tenants;
 //! * `SHUTDOWN` (or [`ServerHandle::shutdown`]) drains every queue,
 //!   flushes the store and only then acknowledges — the store directory
-//!   passes `vv-store fsck` clean afterwards.
+//!   passes `vv-store fsck` clean afterwards. A failed seal is reported
+//!   (an [`ErrorCode::Store`] answer, or the handle's `Err`), never
+//!   acknowledged as success.
 
 use std::collections::HashMap;
 use std::io;
@@ -35,7 +37,7 @@ use parking_lot::Mutex;
 
 use vv_pipeline::{encode_record, ExecutionStrategy, PipelineStats, ValidationService, WorkItem};
 use vv_simcompiler::{CompileCache, PersistentCache};
-use vv_store::ArtifactStore;
+use vv_store::{ArtifactStore, StoreError};
 
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, JobSpec, Request, Response, PROTOCOL_VERSION,
@@ -267,7 +269,7 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    fn new(config: ServerConfig) -> Result<Self, vv_store::StoreError> {
+    fn new(config: ServerConfig) -> Result<Self, StoreError> {
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(ArtifactStore::open(dir)?)),
             None => None,
@@ -356,24 +358,25 @@ impl ServerInner {
         }
     }
 
-    /// Drain, seal the store, stop the workers and the accept loop.
-    fn shutdown(&self) {
-        self.drain_and_seal();
+    /// Drain, seal the store, stop the workers and the accept loop. The
+    /// server stops even when the seal fails.
+    fn shutdown(&self) -> Result<(), StoreError> {
+        let sealed = self.drain_and_seal();
         self.stop();
+        sealed
     }
 
     /// Drain every accepted case and seal the store, leaving the
     /// listener and workers up.
-    fn drain_and_seal(&self) {
+    fn drain_and_seal(&self) -> Result<(), StoreError> {
         self.begin_drain();
         self.wait_drained();
-        if let Some(store) = &self.store {
-            let _ = store.flush();
-        }
+        let sealed = self.store.as_ref().map_or(Ok(()), |store| store.flush());
         // Drop the warm service pool: those services hold store handles,
         // and releasing them here (rather than at the last Arc drop) lets
         // the store seal — and its lockfile release — promptly.
         self.services.lock().clear();
+        sealed
     }
 
     fn stop(&self) {
@@ -576,8 +579,14 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                 // the acceptor wakes, the hosting process may exit and
                 // kill this detached thread — the acknowledgement must
                 // already be on the wire by then.
-                inner.drain_and_seal();
-                writer.send(&Response::ShutdownOk);
+                let response = match inner.drain_and_seal() {
+                    Ok(()) => Response::ShutdownOk,
+                    Err(err) => Response::Error {
+                        code: ErrorCode::Store,
+                        message: format!("store seal failed: {err}"),
+                    },
+                };
+                writer.send(&response);
                 inner.stop();
                 exit = ConnExit::Shutdown;
                 break;
@@ -616,7 +625,7 @@ pub struct Server {
 impl Server {
     /// Start a loopback-only server (no TCP listener): clients attach
     /// through [`Server::connect`].
-    pub fn start(config: ServerConfig) -> Result<Self, vv_store::StoreError> {
+    pub fn start(config: ServerConfig) -> Result<Self, StoreError> {
         let inner = Arc::new(ServerInner::new(config)?);
         let workers = (0..inner.config.workers.max(1))
             .map(|_| {
@@ -719,7 +728,8 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Drain every queue, seal the store and stop the server — identical
     /// to a client `SHUTDOWN` request, minus the acknowledgement frame.
-    pub fn shutdown(&self) {
-        self.inner.shutdown();
+    /// The server stops either way; `Err` reports a failed store seal.
+    pub fn shutdown(&self) -> Result<(), StoreError> {
+        self.inner.shutdown()
     }
 }

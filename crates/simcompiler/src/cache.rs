@@ -32,19 +32,19 @@
 //!
 //! # Sharding
 //!
-//! The cache is internally split into up to [`DEFAULT_CACHE_SHARDS`]
-//! independent shards, each with its own lock, generations, admission
-//! filter and hit/miss counters; an address deterministically selects its
-//! shard, so per-address semantics (second-touch admission, promotion,
-//! object sharing) are exactly those of a single-shard cache while
-//! concurrent compile workers touching distinct sources never contend on
-//! one lock. [`CompileCache::stats`] merges the per-shard counters (the
-//! shard-union law: per-shard tallies sum to the global tally because every
-//! lookup lands in exactly one shard); [`CompileCache::shard_stats`]
-//! exposes the unmerged rows. The explicit-capacity constructors
-//! ([`CompileCache::with_capacity`] / [`CompileCache::with_config`]) stay
-//! single-shard so small caches keep the exact legacy eviction order;
-//! [`CompileCache::shared`] and [`CompileCache::with_shards`] shard.
+//! The cache is internally split into [`DEFAULT_CACHE_SHARDS`] independent
+//! shards, each with its own lock, generations, admission filter and
+//! hit/miss counters; an address deterministically selects its shard, so
+//! per-address semantics (second-touch admission, promotion, object
+//! sharing) are exactly those of a single-shard cache while concurrent
+//! compile workers touching distinct sources never contend on one lock.
+//! [`CompileCache::stats`] merges the per-shard counters (the shard-union
+//! law: per-shard tallies sum to the global tally because every lookup
+//! lands in exactly one shard); [`CompileCache::shard_stats`] exposes the
+//! unmerged rows. Every cache has this one configuration:
+//! [`CompileCache::default`] and [`CompileCache::shared`] build it with
+//! [`DEFAULT_CACHE_CAPACITY`] hot entries over [`DEFAULT_CACHE_SHARDS`]
+//! shards.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,36 +59,10 @@ use crate::vendors::VendorStyle;
 /// Default bound on the hot generation (total retention ≤ 2x this).
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
-/// Default shard count for [`CompileCache::shared`] and the shard cap for
-/// [`CompileCache::with_shards`] requests of 0 ("auto"). Eight shards keep
-/// lock hold times negligible at any worker count this workspace targets
-/// while each shard still holds a useful fraction of the capacity.
+/// Shard count of every cache. Eight shards keep lock hold times
+/// negligible at any worker count this workspace targets while each shard
+/// still holds a useful fraction of the capacity.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// When a freshly compiled outcome is admitted into the cache.
-///
-/// Whichever policy admits, eviction is always the two-generation scheme
-/// described on [`CompileCache`]: admitted entries land in the *hot*
-/// generation; when it fills, it is demoted wholesale to *cold* (dropping
-/// the previous cold generation) and cold hits are promoted back to hot,
-/// so at most `2 * capacity` entries are ever retained.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CacheAdmission {
-    /// Admit an outcome only once its address has been seen before
-    /// (the default). The first sighting costs eight bytes in the
-    /// admission filter instead of a cached AST, so the long tail of
-    /// never-recurring sources — most of a probed corpus, where every
-    /// mutation is near-unique — never consumes capacity; capacity is
-    /// spent exclusively on sources that demonstrably recur.
-    #[default]
-    SecondTouch,
-    /// Admit every outcome immediately. Better for small working sets
-    /// that are known to recur (every entry then hits from its second
-    /// compile onwards, not its third); worse under heavy-tailed corpora,
-    /// where single-use sources continually push recurring ones toward
-    /// the cold generation.
-    FirstTouch,
-}
 
 /// Cache statistics snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -244,7 +218,6 @@ pub struct CompileCache {
     shard_capacity: usize,
     /// Per-shard bound on the second-touch admission filter.
     seen_limit: usize,
-    admission: CacheAdmission,
     shards: Box<[Shard]>,
 }
 
@@ -262,67 +235,30 @@ impl std::fmt::Debug for CompileCache {
 }
 
 impl Default for CompileCache {
-    /// Default capacity, sharded [`DEFAULT_CACHE_SHARDS`] ways.
+    /// [`DEFAULT_CACHE_CAPACITY`] hot entries over [`DEFAULT_CACHE_SHARDS`]
+    /// shards.
     fn default() -> Self {
-        Self::with_shards(DEFAULT_CACHE_CAPACITY, CacheAdmission::default(), 0)
+        Self::sized(DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS)
     }
 }
 
 impl CompileCache {
-    /// A single-shard cache bounded to `capacity` hot entries (≤ `2 *
-    /// capacity` total), with the default [`CacheAdmission::SecondTouch`]
-    /// policy. Single-shard keeps the exact legacy eviction order, which
-    /// matters for small capacities; use [`CompileCache::with_shards`] for
-    /// caches shared by concurrent compile workers.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_config(capacity, CacheAdmission::default())
-    }
-
-    /// A single-shard cache with an explicit capacity *and* admission
-    /// policy — the constructor behind `ValidationServiceBuilder`'s
-    /// compile-cache knobs. See [`CacheAdmission`] for the policy
-    /// trade-off and the eviction behavior both policies share.
-    pub fn with_config(capacity: usize, admission: CacheAdmission) -> Self {
-        Self::with_shards(capacity, admission, 1)
-    }
-
-    /// A cache split into `shards` independently locked shards (0 means
-    /// "auto": [`DEFAULT_CACHE_SHARDS`]). The shard count is clamped to
-    /// `capacity` so each shard holds at least one hot entry and total
-    /// retention stays ≤ `2 * capacity`. An address always selects the
-    /// same shard, so per-address admission/eviction semantics are those
-    /// of a single-shard cache of `capacity / shards` entries.
-    pub fn with_shards(capacity: usize, admission: CacheAdmission, shards: usize) -> Self {
+    /// A cache of `capacity` hot entries split into `shards` independently
+    /// locked shards. The shard count is clamped to `capacity` so each
+    /// shard holds at least one hot entry and total retention stays ≤ `2 *
+    /// capacity`. An address always selects the same shard, so
+    /// per-address admission/eviction semantics are those of a
+    /// single-shard cache of `capacity / shards` entries. Only the
+    /// eviction tests pick a size other than the default.
+    fn sized(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);
-        let shards = if shards == 0 {
-            DEFAULT_CACHE_SHARDS
-        } else {
-            shards
-        }
-        .min(capacity)
-        .max(1);
+        let shards = shards.clamp(1, capacity);
         Self {
             capacity,
             shard_capacity: (capacity / shards).max(1),
             seen_limit: (MAX_SEEN_ADDRESSES / shards).max(1024),
-            admission,
             shards: (0..shards).map(|_| Shard::new()).collect(),
         }
-    }
-
-    /// The admission policy in effect.
-    pub fn admission(&self) -> CacheAdmission {
-        self.admission
-    }
-
-    /// The total hot-generation capacity (total retention ≤ 2x this).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The number of independently locked shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// A shared cache with the default capacity and shard count.
@@ -395,20 +331,17 @@ impl CompileCache {
         None
     }
 
-    /// Offer a freshly compiled outcome for memoization, subject to the
-    /// configured [`CacheAdmission`] policy: under the default second-touch
-    /// policy the first sighting of an address only records it in the
+    /// Offer a freshly compiled outcome for memoization under second-touch
+    /// admission: the first sighting of an address only records it in the
     /// filter, so capacity is never spent on sources that never recur.
     pub(crate) fn insert(&self, addr: u64, key: KeyRef<'_>, outcome: Arc<CompileOutcome>) {
         let shard = self.shard_of(addr);
         let mut state = shard.lock();
-        if self.admission == CacheAdmission::SecondTouch {
-            if state.seen.len() >= self.seen_limit {
-                state.seen.clear();
-            }
-            if state.seen.insert(addr) {
-                return; // first touch: filter only, no entry
-            }
+        if state.seen.len() >= self.seen_limit {
+            state.seen.clear();
+        }
+        if state.seen.insert(addr) {
+            return; // first touch: filter only, no entry
         }
         let entry = Entry {
             key: key.to_owned_key(),
@@ -460,23 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_admission_hits_from_the_second_compile() {
-        let cache = Arc::new(CompileCache::with_config(8, CacheAdmission::FirstTouch));
-        assert_eq!(cache.admission(), CacheAdmission::FirstTouch);
-        let mut session =
-            CompileSession::for_model(DirectiveModel::OpenAcc).with_cache(Arc::clone(&cache));
-        let first = session.compile(SRC_A, Lang::C);
-        let second = session.compile(SRC_A, Lang::C);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "first-touch admission must hit from the second compile"
-        );
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
     fn distinct_sources_and_langs_do_not_alias() {
         let cache = CompileCache::shared();
         let mut session =
@@ -500,7 +416,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_total_entries() {
-        let cache = Arc::new(CompileCache::with_capacity(4));
+        let cache = Arc::new(CompileCache::sized(4, 1));
         let mut session =
             CompileSession::for_model(DirectiveModel::OpenAcc).with_cache(Arc::clone(&cache));
         for i in 0..64 {
@@ -516,22 +432,19 @@ mod tests {
 
     #[test]
     fn shard_counts_clamp_sensibly() {
-        // 0 means auto; explicit constructors stay single-shard; the shard
-        // count never exceeds the capacity (each shard holds ≥ 1 entry).
-        assert_eq!(CompileCache::default().shards(), DEFAULT_CACHE_SHARDS);
-        assert_eq!(CompileCache::with_capacity(4).shards(), 1);
-        assert_eq!(
-            CompileCache::with_config(8, CacheAdmission::FirstTouch).shards(),
-            1
-        );
-        let tiny = CompileCache::with_shards(2, CacheAdmission::default(), 8);
-        assert_eq!(tiny.shards(), 2);
-        assert_eq!(tiny.capacity(), 2);
+        // The default layout; the shard count never exceeds the capacity
+        // (each shard holds ≥ 1 entry).
+        let default = CompileCache::default();
+        assert_eq!(default.shards.len(), DEFAULT_CACHE_SHARDS);
+        assert_eq!(default.capacity, DEFAULT_CACHE_CAPACITY);
+        let tiny = CompileCache::sized(2, 8);
+        assert_eq!(tiny.shards.len(), 2);
+        assert_eq!(tiny.capacity, 2);
     }
 
     #[test]
     fn sharded_hits_still_share_the_outcome_object() {
-        let cache = Arc::new(CompileCache::with_shards(64, CacheAdmission::default(), 8));
+        let cache = CompileCache::shared();
         let mut session =
             CompileSession::for_model(DirectiveModel::OpenAcc).with_cache(Arc::clone(&cache));
         let _first = session.compile(SRC_A, Lang::C); // first touch
@@ -542,18 +455,19 @@ mod tests {
 
     #[test]
     fn shard_stats_sum_to_the_merged_stats() {
-        let cache = Arc::new(CompileCache::with_shards(64, CacheAdmission::FirstTouch, 8));
+        let cache = CompileCache::shared();
         let mut session =
             CompileSession::for_model(DirectiveModel::OpenAcc).with_cache(Arc::clone(&cache));
-        for i in 0..40 {
+        // Three passes over 20 sources: the second admits, the third hits.
+        for i in 0..60 {
             let source = format!("int main() {{ return {}; }}", i % 20);
             let _ = session.compile(&source, Lang::C);
         }
         let merged = cache.stats();
-        assert_eq!(merged.hits + merged.misses, 40);
+        assert_eq!(merged.hits + merged.misses, 60);
         assert!(merged.hits >= 1, "recurring sources must hit");
         let rows = cache.shard_stats();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), DEFAULT_CACHE_SHARDS);
         assert!(
             rows.iter().filter(|r| r.hits + r.misses > 0).count() > 1,
             "40 distinct-ish sources must spread across shards"
@@ -564,12 +478,12 @@ mod tests {
             rows.iter().map(|r| r.entries).sum::<usize>(),
             merged.entries
         );
-        assert!(merged.entries <= 2 * cache.capacity());
+        assert!(merged.entries <= 2 * cache.capacity);
     }
 
     #[test]
     fn cold_generation_hits_are_promoted() {
-        let cache = Arc::new(CompileCache::with_capacity(2));
+        let cache = Arc::new(CompileCache::sized(2, 1));
         let mut session =
             CompileSession::for_model(DirectiveModel::OpenAcc).with_cache(Arc::clone(&cache));
         let _ = session.compile(SRC_A, Lang::C); // first touch

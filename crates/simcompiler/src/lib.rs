@@ -35,7 +35,7 @@ pub mod semantic;
 pub mod session;
 pub mod vendors;
 
-pub use cache::{CacheAdmission, CacheStats, CompileCache, DEFAULT_CACHE_SHARDS};
+pub use cache::{CacheStats, CompileCache, DEFAULT_CACHE_SHARDS};
 pub use frontend::{CompileOutcome, CompilerFrontend, Lang, Program, SharedSlot};
 pub use persist::{PersistStats, PersistentCache};
 pub use semantic::{analyze, analyze_with, SemanticOptions};

@@ -17,7 +17,7 @@ use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
 use vv_judge::PromptStyle;
 use vv_metrics::{overall, per_issue, radar_series, EvaluationRecord};
-use vv_pipeline::{ExecutionStrategy, WorkItem};
+use vv_pipeline::{ExecutionStrategy, PipelineConfig, WorkItem};
 use vv_probing::IssueKind;
 
 /// ≥ 25k cases per scenario at release scale (the acceptance bar); small
@@ -50,7 +50,7 @@ fn campaign_metrics_are_byte_identical_to_the_legacy_batch_computation() {
         // mark tracks the executor's in-flight window (plus the record in
         // the consumer's hand), not the corpus size.
         let workers = ExecutionStrategy::default().workers();
-        let window_bound = scenario.channel_capacity.max(2 * workers) + 1;
+        let window_bound = PipelineConfig::default().channel_capacity.max(2 * workers) + 1;
         assert!(
             metrics.max_in_flight <= window_bound,
             "{}: {} ground-truth entries in flight (window bound {window_bound})",

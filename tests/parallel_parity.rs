@@ -5,10 +5,10 @@
 //!
 //! * **Byte identity** — the reference is
 //!   `ValidationService::process_case` called in a loop on the test
-//!   thread, with no executor threads. For every worker count and
-//!   compile-cache shard layout the executor produces records equal to it
-//!   (full `CaseRecord` equality, every captured field), in both pipeline
-//!   modes, through `run`, `submit` and `submit_source`; and a warm
+//!   thread, with no executor threads. For every worker count the
+//!   executor produces records equal to it (full `CaseRecord` equality,
+//!   every captured field), in both pipeline modes, through `run`,
+//!   `run_source`, `submit` and `submit_source`; and a warm
 //!   executor replay from an artifact store equals a cold `process_case`
 //!   run;
 //! * **Submission order** — the executor's `RecordStream` yields records
@@ -103,26 +103,26 @@ fn pipelined_is_byte_identical_to_sequential_across_workers_and_shards() {
             }
 
             for workers in WORKER_COUNTS {
-                // Shard layouts: the default sharded cache streams the
-                // corpus straight in (generation → probing → validation, no
-                // materialized suite), the single-lock single-shard layout
-                // runs the materialized items. Two runs per worker count
-                // equal to one reference also make reruns deterministic.
-                for shards in [0usize, 1] {
-                    let service = builder(mode, workers).compile_cache_shards(shards).build();
-                    let run = match shards {
-                        0 => service.run_source(spec.source()),
+                // Entry points: `run_source` streams the corpus straight in
+                // (generation → probing → validation, no materialized
+                // suite), `run` takes the materialized items. Two runs per
+                // worker count equal to one reference also make reruns
+                // deterministic.
+                for entry in ["run_source", "run"] {
+                    let service = builder(mode, workers).build();
+                    let run = match entry {
+                        "run_source" => service.run_source(spec.source()),
                         _ => service.run(items.clone()),
                     };
                     assert_eq!(
                         reference.records, run.records,
-                        "{model} seed={seed} {mode:?} workers={workers} shards={shards} \
+                        "{model} seed={seed} {mode:?} workers={workers} {entry} \
                          diverged from process_case"
                     );
                     assert_eq!(
                         run.stats.compile_cache_hits + run.stats.compile_cache_misses,
                         run.stats.compiled,
-                        "{model} {mode:?} workers={workers} shards={shards}: cache counter \
+                        "{model} {mode:?} workers={workers} {entry}: cache counter \
                          conservation"
                     );
                 }

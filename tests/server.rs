@@ -17,7 +17,8 @@
 //!    connection without wedging the daemon;
 //! 5. **Graceful shutdown** — `SHUTDOWN` drains, flushes the journals and
 //!    seals the store: the directory fscks clean, the lockfile is
-//!    released, and a foreign live lock is refused at startup;
+//!    released, a foreign live lock is refused at startup, and a store
+//!    that cannot be sealed is reported instead of acknowledged;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
 //!    the right tenant;
 //! 7. **No transport stalls** — small jobs over TCP never wait on a
@@ -32,7 +33,8 @@ use llm4vv::incremental::stage_stats;
 use vv_dclang::DirectiveModel;
 use vv_pipeline::{encode_record, PipelineRun, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, ProbeConfig};
-use vv_server::{Client, JobSpec, Server, ServerConfig};
+use vv_server::protocol::ErrorCode;
+use vv_server::{Client, ClientError, JobSpec, Server, ServerConfig};
 use vv_store::{check, StoreError};
 
 fn scale(debug: usize, release: usize) -> usize {
@@ -107,7 +109,7 @@ fn loopback_campaign_is_byte_identical_to_a_direct_run() {
     assert!(remote.stats.wall_time > std::time::Duration::ZERO);
 
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
 
@@ -165,7 +167,7 @@ fn concurrent_tcp_tenants_each_match_their_direct_run() {
         assert_eq!(row.jobs_finished, 1);
     }
 
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
 
@@ -256,7 +258,7 @@ fn a_disconnect_mid_stream_cancels_only_that_tenant() {
     assert_eq!(run.records.len(), scale(8, 32));
 
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
 
@@ -315,7 +317,7 @@ fn garbage_and_torn_frames_close_the_connection_without_wedging_the_server() {
     assert_eq!(run.records.len(), size);
 
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
 
@@ -384,7 +386,7 @@ fn shutdown_drains_seals_the_store_and_releases_the_lock() {
         "a re-run over the same store replays every case"
     );
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 
     std::fs::remove_dir_all(&dir).ok();
@@ -405,6 +407,41 @@ fn a_live_foreign_store_lock_refuses_the_server_cleanly() {
         Err(other) => panic!("expected Locked, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_reports_a_store_that_cannot_be_sealed() {
+    let size = scale(24, 200);
+    let dir = temp_dir("unsealable");
+    let server = Server::start(ServerConfig {
+        store_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let items = corpus(DirectiveModel::OpenAcc, 0x5EA1, size);
+    let mut client = Client::over(Box::new(server.connect()), "doomed").expect("handshake");
+    let run = client
+        .submit(JobSpec::default(), items)
+        .expect("submit")
+        .into_run()
+        .expect("campaign");
+    assert_eq!(run.records.len(), size);
+    drop(client);
+
+    // The job's records are still pending (far below the store's automatic
+    // flush threshold); take the directory away before the final seal.
+    std::fs::remove_dir_all(&dir).expect("remove the store directory");
+    let shutdown = Client::over(Box::new(server.connect()), "controller")
+        .expect("handshake")
+        .shutdown();
+    match shutdown {
+        Err(ClientError::Server {
+            code: ErrorCode::Store,
+            ..
+        }) => {}
+        other => panic!("expected a Store error from SHUTDOWN, got {other:?}"),
+    }
+    server.join();
 }
 
 #[test]
@@ -442,7 +479,7 @@ fn the_stats_snapshot_accounts_every_served_case() {
     assert!(rendered.contains("serving"), "{rendered}");
 
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
 
@@ -480,6 +517,6 @@ fn tcp_round_trips_never_wait_on_a_delayed_ack() {
     );
 
     drop(client);
-    server.handle().shutdown();
+    server.handle().shutdown().expect("store seals");
     server.join();
 }
