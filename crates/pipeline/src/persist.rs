@@ -213,13 +213,11 @@ impl RecordStore {
 
     /// Fetch and decode the stored record for an item, re-labeled with the
     /// item's id. Counts a store hit or miss; an undecodable value counts
-    /// as a miss.
+    /// as a miss and as undecodable.
     pub fn lookup(&self, item: &WorkItem) -> Option<CaseRecord> {
         let key = self.key_of(item);
         let bytes = self.store.get(kind::CASE, fnv1a(&key), &key)?;
-        let mut record = decode_record(&bytes)?;
-        record.id.clone_from(&item.id);
-        Some(record)
+        self.decode_hit(&bytes, item)
     }
 
     /// Like [`RecordStore::lookup`], but counter-neutral on a miss: a hit
@@ -227,11 +225,22 @@ impl RecordStore {
     /// counters untouched. This is the probe for scan-ahead replay loops
     /// that hand misses to the validation service afterwards — the service
     /// probes (and counts) the same key again, so counting here too would
-    /// double every miss.
+    /// double every miss. An undecodable record is the exception: both
+    /// lookups found it and served nothing, so each counts as an
+    /// undecodable miss.
     pub fn replay(&self, item: &WorkItem) -> Option<CaseRecord> {
         let key = self.key_of(item);
         let bytes = self.store.probe(kind::CASE, fnv1a(&key), &key)?;
-        let mut record = decode_record(&bytes)?;
+        self.decode_hit(&bytes, item)
+    }
+
+    /// Decode a counted hit re-labeled with the item's id, or reclassify
+    /// it as an undecodable miss.
+    fn decode_hit(&self, bytes: &[u8], item: &WorkItem) -> Option<CaseRecord> {
+        let Some(mut record) = decode_record(bytes) else {
+            self.store.note_undecodable();
+            return None;
+        };
         record.id.clone_from(&item.id);
         Some(record)
     }
@@ -348,6 +357,46 @@ mod tests {
         let hit = a.lookup(&relabeled).expect("hit");
         assert_eq!(hit.id, "renamed");
         assert_eq!(hit.compile, stored.compile);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn undecodable_records_count_as_misses_and_revalidate() {
+        use vv_corpus::CaseSource;
+
+        let dir = std::env::temp_dir().join(format!("vv-recstore-garbage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open_shared(&dir).unwrap();
+        let item = WorkItem::from(
+            vv_probing::CorpusSpec::new(DirectiveModel::OpenAcc)
+                .seed(41)
+                .size(1)
+                .source()
+                .next_case()
+                .expect("one case"),
+        );
+        let service = crate::ValidationService::builder()
+            .artifact_store(Arc::clone(&store))
+            .build();
+        let records = service
+            .record_store()
+            .expect("default backends pin a fingerprint");
+        // Garbage that passes the store's checksum but is no record.
+        let key = records.key_of(&item);
+        assert!(store
+            .put(kind::CASE, fnv1a(&key), &key, b"not a case record")
+            .unwrap());
+
+        assert_eq!(records.lookup(&item), None);
+        let stats = records.stats();
+        assert_eq!((stats.hits, stats.misses, stats.undecodable), (0, 1, 1));
+
+        let cold = crate::ValidationService::default().run(vec![item.clone()]);
+        let revalidated = service.run(vec![item]);
+        assert_eq!(revalidated.records, cold.records);
+        assert_eq!(revalidated.stats.store_misses, 1);
+        drop(service);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

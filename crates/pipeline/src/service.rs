@@ -41,7 +41,7 @@ use vv_store::ArtifactStore;
 /// work-stealing executor of [`crate::parallel`] over `workers` threads
 /// (`0` = one per available core). Per-worker home stages are sized to
 /// measured stage cost, workers steal across stages, input is admitted
-/// lazily under an in-flight window, and a reorder buffer makes the
+/// lazily in runs under an in-flight window, and a reorder ring makes the
 /// stream yield records in submission order. Records do not depend on the
 /// worker count (the worker-count parity laws); only throughput does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -267,10 +267,12 @@ impl PersistentCache {
         }
     }
 
-    /// Reclassify one fetched-but-undecodable record from hit to miss.
+    /// Reclassify one fetched-but-undecodable record from hit to miss, in
+    /// this tier's counters and the store's.
     pub(crate) fn note_undecodable(&self) {
         self.disk_hits.fetch_sub(1, Ordering::Relaxed);
         self.disk_misses.fetch_add(1, Ordering::Relaxed);
+        self.store.note_undecodable();
     }
 
     /// Persist a freshly compiled outcome. First-write-wins; errors are
@@ -410,5 +412,7 @@ mod tests {
         assert!(outcome.succeeded());
         let stats = persist.stats();
         assert_eq!((stats.disk_hits, stats.disk_misses), (0, 1));
+        let store = stats.store;
+        assert_eq!((store.hits, store.misses, store.undecodable), (0, 1, 1));
     }
 }

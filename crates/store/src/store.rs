@@ -57,8 +57,12 @@ pub struct StoreStats {
     pub segments: usize,
     /// Lookups that found a record.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing, or found a value its reader could not
+    /// decode.
     pub misses: u64,
+    /// Lookups whose value passed its checksum but failed to decode (also
+    /// counted in `misses`; see [`ArtifactStore::note_undecodable`]).
+    pub undecodable: u64,
 }
 
 impl StoreStats {
@@ -111,6 +115,7 @@ pub struct ArtifactStore {
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
+    undecodable: AtomicU64,
     report: OpenReport,
     /// Cross-process ownership; unlinked when the store drops.
     _lock: StoreLock,
@@ -125,6 +130,7 @@ impl std::fmt::Debug for ArtifactStore {
             .field("segments", &stats.segments)
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
+            .field("undecodable", &stats.undecodable)
             .finish()
     }
 }
@@ -217,6 +223,7 @@ impl ArtifactStore {
             inner: Mutex::new(inner),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            undecodable: AtomicU64::new(0),
             report,
             _lock: lock,
         })
@@ -287,6 +294,16 @@ impl ArtifactStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         found
+    }
+
+    /// Reclassify one counted hit whose value the caller could not decode
+    /// as a miss, and count it as undecodable. The caller falls back to
+    /// fresh work, so the lookup served nothing; counting it as a hit
+    /// would overstate what the store saves.
+    pub fn note_undecodable(&self) {
+        self.hits.fetch_sub(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.undecodable.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Membership probe that does not touch the hit/miss counters (used by
@@ -381,6 +398,7 @@ impl ArtifactStore {
             segments: inner.manifest.len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            undecodable: self.undecodable.load(Ordering::Relaxed),
         }
     }
 }
@@ -682,6 +700,20 @@ mod tests {
         assert!(!store.contains(kind::CASE, 5, b"other"));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn undecodable_hits_become_counted_misses() {
+        let dir = temp_dir("undecodable");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(kind::CASE, 5, b"k", b"garbage").unwrap();
+        assert!(store.get(kind::CASE, 5, b"k").is_some());
+        assert!(store.get(kind::CASE, 5, b"other").is_none());
+        store.note_undecodable();
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.undecodable), (0, 2, 1));
         drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
