@@ -1,5 +1,4 @@
-//! Artifact-store benchmarks: segment put/flush/open throughput, journal
-//! append strategies (per-frame fsync vs group commit), and the
+//! Artifact-store benchmarks: segment put/flush/open throughput, and the
 //! cold-vs-warm incremental-campaign sweep whose result is written to
 //! `BENCH_PR6.json` at the repo root — the durability point of the perf
 //! trajectory. The PR-6 acceptance bar is a ≥ 10x warm-replay speedup on
@@ -14,7 +13,7 @@ use std::time::{Duration, Instant};
 use llm4vv::campaign::ScenarioMatrix;
 use llm4vv::incremental::run_incremental_campaign;
 use vv_judge::JudgeProfile;
-use vv_store::{fnv1a, kind, ArtifactStore, Journal};
+use vv_store::{fnv1a, kind, ArtifactStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vv-store-bench-{tag}-{}", std::process::id()));
@@ -75,31 +74,6 @@ fn bench_store(c: &mut Criterion) {
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    // Journal appends: per-frame fsync vs group commit (buffer + one sync).
-    group.bench_function("journal_append_synced_64", |b| {
-        b.iter(|| {
-            let dir = temp_dir("journal-sync");
-            std::fs::create_dir_all(&dir).expect("mkdir");
-            let (mut journal, _) = Journal::open(dir.join("j.vvj"), b"bench").expect("journal");
-            for i in 0..64 {
-                journal.append(&payload(i)).expect("append");
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        });
-    });
-    group.bench_function("journal_append_grouped_64", |b| {
-        b.iter(|| {
-            let dir = temp_dir("journal-group");
-            std::fs::create_dir_all(&dir).expect("mkdir");
-            let (mut journal, _) = Journal::open(dir.join("j.vvj"), b"bench").expect("journal");
-            for i in 0..64 {
-                journal.append_buffered(&payload(i)).expect("append");
-            }
-            journal.sync().expect("sync");
-            let _ = std::fs::remove_dir_all(&dir);
-        });
-    });
 
     group.finish();
 }

@@ -17,8 +17,8 @@
 //!   one run, every scenario folded into mergeable constant-memory
 //!   accumulators over sharded corpus sources;
 //! * [`incremental`]: checkpoint/resume campaigns over a durable
-//!   `vv-store` artifact store — crashed runs resume from an append-only
-//!   journal, unchanged cases replay from disk, and a delta planner
+//!   `vv-store` artifact store — crashed runs resume from the records the
+//!   store sealed, unchanged cases replay from disk, and a delta planner
 //!   reports what a re-run would actually compute;
 //! * [`remote`]: submit scenarios to a resident `vv-server` daemon over
 //!   the validation protocol — corpus generated and metrics folded

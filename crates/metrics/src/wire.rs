@@ -2,7 +2,7 @@
 //!
 //! Built on [`vv_store::wire`] (little-endian integers, `u32`-length
 //! strings, bounds-checked [`Reader`]), so the encodings compose with the
-//! store's journal/segment framing and with the `vv-server` protocol.
+//! store's segment framing and with the `vv-server` protocol.
 //!
 //! # Encodings
 //!

@@ -138,7 +138,7 @@ impl PipelineStats {
     /// failure counts, and the judge-latency aggregates — everything except
     /// `submitted` and the cache/store provenance counters) from an
     /// already-complete record, exactly as running its stages would have.
-    /// This is what keeps store replays and journal resumes aggregate-
+    /// This is what keeps store replays and resumed campaigns aggregate-
     /// identical to cold runs.
     pub fn observe_record(&mut self, record: &crate::CaseRecord) {
         self.compiled += 1;

@@ -33,8 +33,8 @@
 //!
 //! ## Framing
 //!
-//! Both directions carry a sequence of frames, each shaped exactly like a
-//! store journal frame:
+//! Both directions carry a sequence of frames, each a length and checksum
+//! header in front of its payload, like a store segment record:
 //!
 //! ```text
 //! frame:
@@ -120,10 +120,9 @@
 //! `SHUTDOWN` (or [`server::ServerHandle::shutdown`], the in-process
 //! SIGTERM-equivalent) moves the server to *draining*: new `OPEN_JOB`s
 //! are refused with [`protocol::ErrorCode::Draining`], queued and
-//! in-flight work completes, open journals group-commit, the store seals
-//! (flush + manifest commit) and releases its lockfile, and only then is
-//! `SHUTDOWN_OK` sent — after which the directory passes `vv-store fsck`
-//! clean. A seal that fails is answered with an `ERROR` of
+//! in-flight work completes, the store seals (flush + manifest commit)
+//! and releases its lockfile, and only then is `SHUTDOWN_OK` sent — after
+//! which the directory passes `vv-store fsck` clean. A seal that fails is answered with an `ERROR` of
 //! [`protocol::ErrorCode::Store`] instead; the server stops either way.
 
 pub mod client;

@@ -1,7 +1,7 @@
 //! `vv-store` — maintenance CLI for artifact store directories.
 //!
 //! ```text
-//! vv-store fsck <dir>        verify manifest, segments and journals
+//! vv-store fsck <dir>        verify manifest and segments
 //! vv-store fsck <dir> --gc   same, then remove orphaned files
 //! ```
 //!

@@ -5,22 +5,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{parse_header, scan_frames};
 use crate::store::{parse_manifest, scan_segment, MANIFEST_NAME};
 use crate::StoreError;
-
-/// Health of one journal file found in the directory.
-#[derive(Clone, Debug)]
-pub struct JournalCheck {
-    /// File name.
-    pub name: String,
-    /// Intact frames.
-    pub frames: u64,
-    /// Bytes past the last intact frame (0 for a clean journal).
-    pub torn_tail_bytes: u64,
-    /// False when even the header is unreadable.
-    pub header_ok: bool,
-}
 
 /// Result of [`check`]: everything wrong (and right) with a store
 /// directory.
@@ -36,19 +22,12 @@ pub struct FsckReport {
     /// Files present in the directory but not reachable from the manifest
     /// (crashed in-flight writes): orphaned segments and `.tmp-*` files.
     pub orphans: Vec<PathBuf>,
-    /// Per-journal health for every `*.vvj` in the directory.
-    pub journals: Vec<JournalCheck>,
 }
 
 impl FsckReport {
     /// True when nothing is damaged and nothing is orphaned.
     pub fn clean(&self) -> bool {
-        self.torn.is_empty()
-            && self.orphans.is_empty()
-            && self
-                .journals
-                .iter()
-                .all(|j| j.header_ok && j.torn_tail_bytes == 0)
+        self.torn.is_empty() && self.orphans.is_empty()
     }
 }
 
@@ -65,19 +44,6 @@ impl fmt::Display for FsckReport {
         for orphan in &self.orphans {
             writeln!(f, "ORPHAN: {}", orphan.display())?;
         }
-        for journal in &self.journals {
-            if !journal.header_ok {
-                writeln!(f, "JOURNAL {}: unreadable header", journal.name)?;
-            } else if journal.torn_tail_bytes > 0 {
-                writeln!(
-                    f,
-                    "JOURNAL {}: {} frames, torn tail of {} bytes",
-                    journal.name, journal.frames, journal.torn_tail_bytes
-                )?;
-            } else {
-                writeln!(f, "journal {}: {} frames ok", journal.name, journal.frames)?;
-            }
-        }
         write!(
             f,
             "verdict: {}",
@@ -87,8 +53,8 @@ impl fmt::Display for FsckReport {
 }
 
 /// Verify every structure in a store directory: manifest checksum, each
-/// listed segment's length/record checksums, orphaned files, and the
-/// frame integrity of any journals. Read-only.
+/// listed segment's length/record checksums, and orphaned files. Other
+/// files in the directory are not the store's and are ignored. Read-only.
 pub fn check(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
     let dir = dir.as_ref();
     let mut report = FsckReport::default();
@@ -137,42 +103,19 @@ pub fn check(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with(".tmp-") {
+        let unlisted_segment =
+            name.starts_with("seg-") && name.ends_with(".vvs") && !listed_names.contains(&name);
+        if name.starts_with(".tmp-") || unlisted_segment {
             report.orphans.push(entry.path());
-        } else if name.starts_with("seg-") && name.ends_with(".vvs") {
-            if !listed_names.contains(&name) {
-                report.orphans.push(entry.path());
-            }
-        } else if name.ends_with(".vvj") {
-            let bytes = fs::read(entry.path())?;
-            match parse_header(&bytes) {
-                Some(tag) => {
-                    let header = 8 + 4 + tag.len() + 8;
-                    let (end, frames) = scan_frames(&bytes, header);
-                    report.journals.push(JournalCheck {
-                        name,
-                        frames,
-                        torn_tail_bytes: (bytes.len() - end) as u64,
-                        header_ok: true,
-                    });
-                }
-                None => report.journals.push(JournalCheck {
-                    name,
-                    frames: 0,
-                    torn_tail_bytes: bytes.len() as u64,
-                    header_ok: false,
-                }),
-            }
         }
     }
     report.orphans.sort();
-    report.journals.sort_by(|a, b| a.name.cmp(&b.name));
     Ok(report)
 }
 
 /// Remove everything [`check`] reported as orphaned (unlisted segments
-/// and stale tempfiles). Journals and listed segments are never touched.
-/// Returns the removed paths.
+/// and stale tempfiles). Listed segments and foreign files are never
+/// touched. Returns the removed paths.
 pub fn gc(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, StoreError> {
     let report = check(&dir)?;
     for orphan in &report.orphans {
@@ -184,7 +127,7 @@ pub fn gc(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{kind, ArtifactStore, Journal};
+    use crate::{kind, ArtifactStore};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vv-fsck-test-{tag}-{}", std::process::id()));
@@ -193,21 +136,22 @@ mod tests {
     }
 
     #[test]
-    fn clean_store_and_journal_pass() {
+    fn clean_store_passes_and_a_stray_journal_is_ignored() {
         let dir = temp_dir("clean");
         {
             let store = ArtifactStore::open(&dir).unwrap();
             store.put(kind::COMPILE, 1, b"k", b"v").unwrap();
             store.flush().unwrap();
-            let (mut journal, _) = Journal::open(dir.join("journal.vvj"), b"tag").unwrap();
-            journal.append(b"frame").unwrap();
         }
+        // A campaign journal left by an older build is not the store's.
+        fs::write(dir.join("journal.vvj"), b"VVJRNL01 torn").unwrap();
         let report = check(&dir).unwrap();
         assert!(report.clean(), "{report}");
         assert_eq!(report.segments_ok, 1);
         assert_eq!(report.records, 1);
-        assert_eq!(report.journals.len(), 1);
-        assert_eq!(report.journals[0].frames, 1);
+        assert!(report.orphans.is_empty(), "{report}");
+        assert!(gc(&dir).unwrap().is_empty());
+        assert!(dir.join("journal.vvj").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

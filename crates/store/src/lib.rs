@@ -1,12 +1,12 @@
 //! `vv-store` — durable content-addressed artifact storage for the
-//! validation pipeline, plus an append-only campaign journal for
-//! checkpoint/resume.
+//! validation pipeline, and the only durable state behind checkpoint/resume
+//! campaigns.
 //!
 //! The crate is a leaf: it knows nothing about compile outcomes, case
 //! records or campaigns. It stores and retrieves *byte strings* under
-//! `(kind, address, key-bytes)` identities and replays length-prefixed
-//! journal frames; the domain crates (`vv-simcompiler`, `vv-pipeline`,
-//! `llm4vv`) own the typed codecs on top, built from the [`wire`] helpers.
+//! `(kind, address, key-bytes)` identities; the domain crates
+//! (`vv-simcompiler`, `vv-pipeline`, `llm4vv`) own the typed codecs on
+//! top, built from the [`wire`] helpers.
 //! There is no serde anywhere — the offline shim set has none — so the
 //! on-disk format is hand-rolled, fixed, and fully specified here.
 //!
@@ -19,7 +19,6 @@
 //! seg-00000000.vvs    sealed record segments, append-only, never rewritten
 //! seg-00000001.vvs
 //! ...
-//! journal.vvj         (optional) a campaign journal, owned by the caller
 //! store.lock          owning process id (see [`lock`]); refused opens
 //!                     from other live processes get [`StoreError::Locked`]
 //! .tmp-*              in-flight atomic writes; deleted on open
@@ -74,53 +73,29 @@
 //! (a crash between segment rename and manifest rename); [`fsck`] reports
 //! them and can garbage-collect them.
 //!
-//! ## Journal files (`*.vvj`)
-//!
-//! ```text
-//! magic    8 bytes  b"VVJRNL01"
-//! tag_len  u32
-//! tag      bytes    caller-defined identity (e.g. a campaign fingerprint)
-//! tag_sum  u64      fnv1a(tag)
-//! frame*   ...      until end of file
-//!
-//! frame:
-//!   len      u32    byte length of `payload`
-//!   checksum u64    fnv1a(payload)
-//!   payload  bytes  opaque, caller-defined encoding
-//! ```
-//!
-//! Appends are either flushed before returning ([`Journal::append`]) or
-//! group-committed ([`Journal::append_buffered`] + [`Journal::sync`]), so
-//! after a crash the file is a valid prefix plus an unsynced or torn
-//! tail. [`Journal::open`] scans the frames, physically truncates the
-//! tail at the first checksum failure, and hands back a streaming cursor
-//! over the surviving frames for replay.
-//!
 //! # Crash safety
 //!
 //! * Store writes become durable only at [`ArtifactStore::flush`], which
 //!   seals pending records into a fresh segment (tempfile + rename) and
-//!   then commits it by rewriting the manifest (tempfile + rename).
+//!   then commits it by rewriting the manifest (tempfile + rename). A
+//!   seal that fails leaves its records pending, so the next flush retries
+//!   them instead of reporting success without writing them.
 //! * [`ArtifactStore::open`] validates every listed segment against its
 //!   manifest entry and record checksums. A torn or short segment is
 //!   *repaired*: the valid prefix of records is kept, the tail is
 //!   truncated, and the manifest is rewritten; the number of quarantined
 //!   records is reported in the [`OpenReport`].
-//! * Journals are append-only with per-frame checksums; torn tails are
-//!   truncated at open and reported.
 //!
 //! The [`fsck`] module (and the `vv-store fsck` binary) re-verifies all
 //! of the above offline and can remove orphaned segments and stale
 //! tempfiles.
 
 pub mod fsck;
-pub mod journal;
 pub mod lock;
 pub mod store;
 pub mod wire;
 
 pub use fsck::{check, gc, FsckReport};
-pub use journal::{FrameCursor, Journal, JournalRecovery};
 pub use lock::LOCK_NAME;
 pub use store::{ArtifactStore, OpenReport, StoreStats};
 pub use wire::{fnv1a, Reader, Writer};
@@ -142,7 +117,7 @@ pub mod kind {
     pub const CASE: u8 = 4;
 }
 
-/// Errors surfaced by the store, journal and fsck paths.
+/// Errors surfaced by the store and fsck paths.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.

@@ -18,7 +18,9 @@ pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"VVSMAN01";
 pub(crate) const MANIFEST_NAME: &str = "manifest.vvs";
 
 /// Pending records are sealed into a segment automatically once this many
-/// accumulate (an explicit [`ArtifactStore::flush`] seals earlier).
+/// accumulate (an explicit [`ArtifactStore::flush`] seals earlier). After
+/// a failed seal, the next automatic attempt waits for this many further
+/// inserts.
 const AUTO_FLUSH_RECORDS: usize = 1024;
 
 /// What [`ArtifactStore::open`] found and repaired.
@@ -102,6 +104,8 @@ struct Inner {
     index: HashMap<u64, Vec<IndexEntry>>,
     records: usize,
     pending: Vec<PendingRecord>,
+    /// Inserts since the last seal attempt, successful or not.
+    puts_since_seal: usize,
     manifest: Vec<SegmentMeta>,
     next_segment: u64,
 }
@@ -319,10 +323,11 @@ impl ArtifactStore {
 
     /// Insert a record. The write is visible to `get` immediately and
     /// becomes durable at the next [`ArtifactStore::flush`] (an automatic
-    /// flush runs every `AUTO_FLUSH_RECORDS` inserts). First write wins:
-    /// inserting an existing `(kind, addr, key)` returns `false` and
-    /// changes nothing — records are immutable, which is what makes
-    /// concurrent duplicate computes harmless.
+    /// flush runs every `AUTO_FLUSH_RECORDS` inserts; its error is
+    /// returned, but the record stays pending for the next seal). First
+    /// write wins: inserting an existing `(kind, addr, key)` returns
+    /// `false` and changes nothing — records are immutable, which is what
+    /// makes concurrent duplicate computes harmless.
     pub fn put(&self, kind: u8, addr: u64, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
         let mut inner = self.lock();
         if inner
@@ -341,7 +346,8 @@ impl ArtifactStore {
             key,
             value,
         });
-        if inner.pending.len() >= AUTO_FLUSH_RECORDS {
+        inner.puts_since_seal += 1;
+        if inner.puts_since_seal >= AUTO_FLUSH_RECORDS {
             self.flush_locked(&mut inner)?;
         }
         Ok(true)
@@ -349,13 +355,15 @@ impl ArtifactStore {
 
     /// Seal every pending record into a fresh segment and commit it to the
     /// manifest (both via atomic tempfile + rename). No-op when nothing is
-    /// pending.
+    /// pending. Records leave the pending list only once the manifest
+    /// commits, so after an error the next flush retries them.
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut inner = self.lock();
         self.flush_locked(&mut inner)
     }
 
     fn flush_locked(&self, inner: &mut Inner) -> Result<(), StoreError> {
+        inner.puts_since_seal = 0;
         if inner.pending.is_empty() {
             return Ok(());
         }
@@ -365,8 +373,7 @@ impl ArtifactStore {
 
         let mut bytes = Vec::with_capacity(4096);
         bytes.extend_from_slice(SEGMENT_MAGIC);
-        let mut records = 0u64;
-        for rec in inner.pending.drain(..) {
+        for rec in &inner.pending {
             let mut payload = Writer::with_capacity(rec.key.len() + rec.value.len() + 32);
             payload.put_u8(rec.kind);
             payload.put_u64(rec.addr);
@@ -376,17 +383,21 @@ impl ArtifactStore {
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
             bytes.extend_from_slice(&payload);
-            records += 1;
         }
 
-        let path = self.dir.join(&name);
-        atomic_write(&self.dir, &path, &bytes)?;
+        atomic_write(&self.dir, &self.dir.join(&name), &bytes)?;
         inner.manifest.push(SegmentMeta {
             name,
             bytes: bytes.len() as u64,
-            records,
+            records: inner.pending.len() as u64,
         });
-        write_manifest(&self.dir, &inner.manifest)
+        if let Err(err) = write_manifest(&self.dir, &inner.manifest) {
+            // The segment stays an unlisted orphan; its records retry.
+            inner.manifest.pop();
+            return Err(err);
+        }
+        inner.pending.clear();
+        Ok(())
     }
 
     /// Statistics so far (records counts durable + pending).
@@ -669,6 +680,51 @@ mod tests {
         let store = ArtifactStore::open(&dir).unwrap();
         assert!(store.get(kind::COMPILE, 1, b"k").is_some());
         assert_eq!(store.get(kind::COMPILE, 2, b"k2"), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_seal_keeps_its_records_for_the_next_flush() {
+        let dir = temp_dir("failed-seal");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(kind::CASE, 3, b"k", b"v").unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(store.flush().is_err(), "the directory is gone");
+        fs::create_dir_all(&dir).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert_eq!(store.get(kind::CASE, 3, b"k").as_deref(), Some(&b"v"[..]));
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_auto_seal_retries_once_per_further_batch_of_puts() {
+        let dir = temp_dir("auto-seal-retry");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let put = |i: usize| {
+            let key = format!("key-{i}").into_bytes();
+            store.put(kind::CASE, fnv1a(&key), &key, b"v")
+        };
+        for i in 0..AUTO_FLUSH_RECORDS - 1 {
+            put(i).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(put(AUTO_FLUSH_RECORDS - 1).is_err(), "the auto-seal fails");
+        fs::create_dir_all(&dir).unwrap();
+        // No retry until another batch of puts has arrived.
+        for i in AUTO_FLUSH_RECORDS..2 * AUTO_FLUSH_RECORDS - 1 {
+            put(i).unwrap();
+        }
+        assert_eq!(store.stats().pending, 2 * AUTO_FLUSH_RECORDS - 1);
+        put(2 * AUTO_FLUSH_RECORDS - 1).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.pending, stats.segments), (0, 1));
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert_eq!(store.stats().records, 2 * AUTO_FLUSH_RECORDS);
+        drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,13 +7,12 @@
 //! 1. **cold** — an uninterrupted run into a fresh store (the baseline);
 //! 2. **crashed + resumed** — the identical matrix into a second fresh
 //!    store, aborted after a third of the validations (simulating a
-//!    crash at a checkpoint), then resumed: the journal tail replays and
-//!    only the missing cases run. The merged metrics are asserted
-//!    byte-identical to the cold run's;
-//! 3. **warm** — the cold store re-run end to end: the journal is empty,
-//!    but every case replays wholesale from the store, so zero cases are
-//!    validated from scratch and the run finishes an order of magnitude
-//!    faster.
+//!    crash at a checkpoint), then resumed: every record the aborted run
+//!    stored replays from the store and only the missing cases run. The
+//!    merged metrics are asserted byte-identical to the cold run's;
+//! 3. **warm** — the cold store re-run end to end: every case replays
+//!    wholesale from the store, so zero cases are validated from scratch
+//!    and the run finishes an order of magnitude faster.
 //!
 //! Both stores are fsck'd clean at the end.
 //!
@@ -68,8 +67,8 @@ fn main() {
     );
 
     // Phase 2: the same matrix into a second store, aborted a third of the
-    // way through (the budget plays the role of a crash: the journal is
-    // left mid-campaign), then resumed to completion.
+    // way through (the budget plays the role of a crash: the store holds
+    // a third of the campaign), then resumed to completion.
     let budget = total / 3;
     println!("phase 2: crash after {budget} validations, then resume...");
     let crashed = run_incremental_campaign(&matrix, &crash_dir, Some(budget)).expect("aborted run");
@@ -84,9 +83,12 @@ fn main() {
     );
     let resumed = run_incremental_campaign(&matrix, &crash_dir, None).expect("resumed run");
     assert!(resumed.completed);
+    assert!(
+        resumed.total_reused() >= crashed.total_fresh() + crashed.total_reused(),
+        "the resumed run reuses everything the aborted run stored"
+    );
     println!(
-        "  resumed: {} replayed from the journal, {} reused from the store, {} fresh",
-        resumed.total_replayed(),
+        "  resumed: {} reused from the store, {} fresh",
         resumed.total_reused(),
         resumed.total_fresh()
     );

@@ -15,10 +15,10 @@
 //!    connections;
 //! 4. **Protocol robustness** — garbage bytes and torn frames close that
 //!    connection without wedging the daemon;
-//! 5. **Graceful shutdown** — `SHUTDOWN` drains, flushes the journals and
-//!    seals the store: the directory fscks clean, the lockfile is
-//!    released, a foreign live lock is refused at startup, and a store
-//!    that cannot be sealed is reported instead of acknowledged;
+//! 5. **Graceful shutdown** — `SHUTDOWN` drains and seals the store: the
+//!    directory fscks clean, the lockfile is released, a foreign live lock
+//!    is refused at startup, and a store that cannot be sealed is reported
+//!    instead of acknowledged;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
 //!    the right tenant;
 //! 7. **No transport stalls** — small jobs over TCP never wait on a

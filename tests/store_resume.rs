@@ -1,32 +1,37 @@
-//! Crash-safety and resume laws for the artifact store and the campaign
-//! journal (`vv-store` + `llm4vv::incremental`).
+//! Crash-safety and resume laws for the artifact store and the
+//! incremental campaigns resumed from it (`vv-store` +
+//! `llm4vv::incremental`).
 //!
-//! 1. **Journal torn-write sweep** — a journal truncated at *every* byte
-//!    offset inside (or at the start of) its final frame recovers to
-//!    exactly the preceding frames: never fewer, never garbage, and the
-//!    file is physically repaired so the next open is clean;
-//! 2. **Segment torn-write sweep** — a sealed segment truncated at every
+//! 1. **Segment torn-write sweep** — a sealed segment truncated at every
 //!    byte offset inside its final record reopens with only that record
 //!    quarantined; every earlier record stays readable and the repaired
 //!    store fscks clean;
-//! 3. **Resume identity** — a budget-interrupted campaign resumed to
-//!    completion produces metrics byte-identical to an uninterrupted
-//!    incremental run *and* to the plain in-memory
+//! 2. **Resume identity** — a budget-interrupted campaign resumed to
+//!    completion reuses every record the interrupted run stored and
+//!    produces metrics byte-identical to an uninterrupted incremental run
+//!    *and* to the plain in-memory
 //!    [`run_campaign`](llm4vv::campaign::run_campaign) (modulo
 //!    [`stage_stats`]'s provenance/wall-time exclusions);
+//! 3. **Torn-segment resume** — the same, after the interrupted run's
+//!    last sealed segment is torn mid-record: the lost records simply
+//!    re-validate, and the store fscks clean afterwards;
 //! 4. **Warm re-run** — re-running a completed campaign validates zero
 //!    fresh cases, exactly as the delta planner predicts.
+//!
+//! No campaign leaves anything but the store in its directory.
 //!
 //! Release runs scale the sweeps and the campaigns (same gating idiom as
 //! `tests/compile_parity.rs`); debug runs shrink so tier-1 `cargo test -q`
 //! stays fast.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use llm4vv::campaign::{run_campaign, ScenarioMatrix};
-use llm4vv::incremental::{plan_campaign_delta, run_incremental_campaign, stage_stats};
+use llm4vv::incremental::{
+    plan_campaign_delta, run_incremental_campaign, stage_stats, IncrementalCampaign,
+};
 use vv_judge::JudgeProfile;
-use vv_store::{check, fnv1a, kind, ArtifactStore, Journal};
+use vv_store::{check, fnv1a, kind, ArtifactStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vv-store-resume-{tag}-{}", std::process::id()));
@@ -35,8 +40,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Sweep sizes: number of journal frames / segment records and the rough
-/// payload size of the final one (every byte offset of which is cut).
+/// Sweep sizes: number of segment records and the rough payload size of
+/// the final one (every byte offset of which is cut).
 fn sweep_scale() -> (usize, usize) {
     if cfg!(debug_assertions) {
         (8, 64)
@@ -55,64 +60,75 @@ fn campaign_matrix() -> ScenarioMatrix {
         .shards(2)
 }
 
-/// A deterministic, incompressible-ish payload for frame/record `i`.
+/// A deterministic, incompressible-ish payload for record `i`.
 fn payload(i: usize, len: usize) -> Vec<u8> {
     (0..len)
         .map(|j| (i.wrapping_mul(31).wrapping_add(j.wrapping_mul(131)) % 251) as u8)
         .collect()
 }
 
-#[test]
-fn journal_recovers_from_a_tear_at_every_offset_of_the_final_frame() {
-    let (frames, payload_len) = sweep_scale();
-    let dir = temp_dir("journal-sweep");
-    let master = dir.join("master.vvj");
-
-    // Build the master journal and note where the final frame begins.
-    let (mut journal, _) = Journal::open(&master, b"sweep").expect("create journal");
-    for i in 0..frames - 1 {
-        journal.append(&payload(i, payload_len)).expect("append");
-    }
-    let last_frame_start = std::fs::metadata(&master).expect("stat").len();
-    journal
-        .append(&payload(frames - 1, payload_len))
-        .expect("append final");
-    drop(journal);
-    let full_len = std::fs::metadata(&master).expect("stat").len();
-    assert!(last_frame_start < full_len);
-
-    for cut in last_frame_start..full_len {
-        let torn = dir.join("torn.vvj");
-        std::fs::copy(&master, &torn).expect("copy");
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&torn)
-            .expect("open for truncate");
-        file.set_len(cut).expect("truncate");
-        drop(file);
-
-        let (journal, mut recovery) = Journal::open(&torn, b"sweep").expect("reopen torn");
-        assert!(!recovery.reset, "same tag never resets");
-        assert_eq!(
-            recovery.frame_count,
-            frames as u64 - 1,
-            "cut at {cut}: exactly the final frame is dropped"
+/// The store directory is the only durable state a campaign writes.
+fn assert_no_journal(dir: &Path) {
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let name = entry.expect("entry").file_name();
+        assert!(
+            !name.to_string_lossy().ends_with(".vvj"),
+            "campaign wrote a journal file {name:?}"
         );
-        assert_eq!(recovery.truncated_bytes, cut - last_frame_start);
-        let mut recovered = 0usize;
-        while let Some(frame) = recovery.frames.next_frame().expect("cursor") {
-            assert_eq!(frame, payload(recovered, payload_len), "cut at {cut}");
-            recovered += 1;
-        }
-        assert_eq!(recovered, frames - 1);
-        drop(journal);
-
-        // The tear was physically truncated away: a second open is clean.
-        let (_, recheck) = Journal::open(&torn, b"sweep").expect("reopen repaired");
-        assert_eq!(recheck.truncated_bytes, 0, "cut at {cut}: repair persisted");
-        assert_eq!(recheck.frame_count, frames as u64 - 1);
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Byte offsets at which each record of a sealed segment starts, walking
+/// the documented format: 8-byte magic, then records of
+/// `len: u32 | checksum: u64 | payload`.
+fn record_starts(segment: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 8usize;
+    while pos < segment.len() {
+        starts.push(pos);
+        let len =
+            u32::from_le_bytes(segment[pos..pos + 4].try_into().expect("len prefix")) as usize;
+        pos += 12 + len;
+    }
+    assert_eq!(pos, segment.len(), "segment walk consumed the whole file");
+    starts
+}
+
+/// A resumed campaign agrees with an uninterrupted incremental run into a
+/// fresh store (`ref_tag` names its directory) and with the plain
+/// in-memory campaign, scenario by scenario.
+fn assert_identical_to_uninterrupted_and_plain(
+    matrix: &ScenarioMatrix,
+    resumed: &IncrementalCampaign,
+    ref_tag: &str,
+) {
+    let ref_dir = temp_dir(ref_tag);
+    let uninterrupted = run_incremental_campaign(matrix, &ref_dir, None).expect("baseline");
+    assert!(uninterrupted.completed);
+    let plain = run_campaign(matrix);
+    for ((resumed, baseline), plain) in resumed
+        .results
+        .scenarios
+        .iter()
+        .zip(&uninterrupted.results.scenarios)
+        .zip(&plain.scenarios)
+    {
+        for other in [baseline, plain] {
+            assert_eq!(resumed.judge, other.judge);
+            assert_eq!(resumed.pipeline, other.pipeline);
+            assert_eq!(resumed.judge_load, other.judge_load);
+            assert_eq!(stage_stats(&resumed.stats), stage_stats(&other.stats));
+        }
+    }
+    assert_fsck_clean(&ref_dir);
+    std::fs::remove_dir_all(&ref_dir).expect("cleanup");
+}
+
+/// The campaign store fscks clean and holds no journal.
+fn assert_fsck_clean(dir: &Path) {
+    let fsck = check(dir).expect("fsck");
+    assert!(fsck.clean(), "campaign store fscks clean:\n{fsck}");
+    assert_no_journal(dir);
 }
 
 #[test]
@@ -142,17 +158,8 @@ fn segment_quarantines_only_the_record_torn_at_every_offset() {
         })
         .expect("one sealed segment");
 
-    // Locate the final record by walking the documented segment format:
-    // 8-byte magic, then records of `len: u32 | checksum: u64 | payload`.
     let bytes = std::fs::read(&segment).expect("read segment");
-    let mut pos = 8usize;
-    let mut last_record_start = pos;
-    while pos < bytes.len() {
-        last_record_start = pos;
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len prefix")) as usize;
-        pos += 12 + len;
-    }
-    assert_eq!(pos, bytes.len(), "segment walk consumed the whole file");
+    let last_record_start = *record_starts(&bytes).last().expect("records");
 
     for cut in last_record_start..bytes.len() {
         let dir = temp_dir("segment-sweep");
@@ -207,41 +214,63 @@ fn interrupted_resumed_campaign_is_byte_identical_to_uninterrupted_and_plain() {
     let dir = temp_dir("resume");
     let partial = run_incremental_campaign(&matrix, &dir, Some(budget)).expect("partial");
     assert!(!partial.completed, "the budget interrupts mid-campaign");
+    assert_no_journal(&dir);
     let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
     assert!(resumed.completed);
     assert!(
-        resumed.total_replayed() > 0,
-        "the journal checkpoint replayed"
+        resumed.total_reused() >= partial.total_fresh() + partial.total_reused(),
+        "every case the interrupted run covered is reused from the store"
     );
 
-    // Uninterrupted incremental baseline (fresh store).
-    let ref_dir = temp_dir("resume-ref");
-    let uninterrupted = run_incremental_campaign(&matrix, &ref_dir, None).expect("baseline");
-    assert!(uninterrupted.completed);
+    assert_identical_to_uninterrupted_and_plain(&matrix, &resumed, "resume-ref");
+    assert_fsck_clean(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
 
-    // Plain in-memory campaign: same laws, no store at all.
-    let plain = run_campaign(&matrix);
+#[test]
+fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
+    let matrix = campaign_matrix();
+    let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
+    let dir = temp_dir("torn-resume");
+    let partial = run_incremental_campaign(&matrix, &dir, Some(total / 3)).expect("partial");
+    assert!(!partial.completed, "the budget interrupts mid-campaign");
 
-    for ((resumed, baseline), plain) in resumed
-        .results
-        .scenarios
+    // Tear the last sealed segment inside its middle record, as a crash
+    // mid-write would (segment names sort in seal order).
+    let segment = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("seg-"))
+        })
+        .max()
+        .expect("a sealed segment");
+    let bytes = std::fs::read(&segment).expect("read segment");
+    let starts = record_starts(&bytes);
+    let torn = starts.len() / 2;
+    let lost_cases = starts[torn..]
         .iter()
-        .zip(&uninterrupted.results.scenarios)
-        .zip(&plain.scenarios)
-    {
-        for other in [baseline, plain] {
-            assert_eq!(resumed.judge, other.judge);
-            assert_eq!(resumed.pipeline, other.pipeline);
-            assert_eq!(resumed.judge_load, other.judge_load);
-            assert_eq!(stage_stats(&resumed.stats), stage_stats(&other.stats));
-        }
-    }
+        .filter(|&&start| bytes[start + 12] == kind::CASE)
+        .count();
+    assert!(lost_cases > 0, "the tear loses case records");
+    let cut = (starts[torn] + starts.get(torn + 1).copied().unwrap_or(bytes.len())) / 2;
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&segment)
+        .expect("open for truncate");
+    file.set_len(cut as u64).expect("truncate");
+    drop(file);
+    assert!(!check(&dir).expect("fsck").clean(), "the tear is visible");
 
-    for dir in [&dir, &ref_dir] {
-        let fsck = check(dir).expect("fsck");
-        assert!(fsck.clean(), "campaign store fscks clean:\n{fsck}");
-        std::fs::remove_dir_all(dir).expect("cleanup");
-    }
+    let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
+    assert!(resumed.completed);
+    assert_eq!(resumed.total_fresh() + resumed.total_reused(), total);
+    assert!(resumed.total_reused() > 0, "the intact records are reused");
+
+    assert_identical_to_uninterrupted_and_plain(&matrix, &resumed, "torn-resume-ref");
+    assert_fsck_clean(&dir);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -261,9 +290,9 @@ fn warm_rerun_validates_nothing_and_matches_the_planner() {
 
     let warm = run_incremental_campaign(&matrix, &dir, None).expect("warm");
     assert!(warm.completed);
-    assert_eq!(warm.total_replayed(), 0, "the journal was cleared");
     assert_eq!(warm.total_fresh(), 0, "zero fresh validations");
     assert_eq!(warm.total_reused(), total);
+    assert_no_journal(&dir);
     for (warm, cold) in warm.results.scenarios.iter().zip(&cold.results.scenarios) {
         assert_eq!(warm.judge, cold.judge);
         assert_eq!(warm.pipeline, cold.pipeline);
