@@ -1,6 +1,5 @@
-//! Core-count scaling of the pipelined work-stealing executor
-//! (`ExecutionStrategy::Pipelined`), written to `BENCH_PR8.json` at the
-//! repo root.
+//! Core-count scaling of the executor (`ExecutionStrategy::Pipelined`,
+//! whole cases per worker), written to `BENCH_PR8.json` at the repo root.
 //!
 //! Two sweeps, because this container's substrate is deliberately
 //! CPU-cheap:

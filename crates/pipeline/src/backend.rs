@@ -194,9 +194,9 @@ impl SimCompileBackend {
     /// Check a session for `model` out of the pool (building a fresh one
     /// when the pool is empty). Long-lived compile workers lease a session
     /// once and drive it through [`SimCompileBackend::compile_with`] for
-    /// their whole run instead of checking in and out per item — the
-    /// pipelined executor's compile workers keep one leased session per
-    /// model, so the per-case path never touches the pool lock. Pair with
+    /// their whole run instead of checking in and out per item — each
+    /// executor worker keeps one leased session per model, so the per-case
+    /// path never touches the pool lock. Pair with
     /// [`SimCompileBackend::return_session`] when the worker retires.
     pub fn take_session(&self, model: DirectiveModel) -> CompileSession {
         let mut pools = self

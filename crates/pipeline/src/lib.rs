@@ -19,9 +19,10 @@
 //! just the default impls.
 //!
 //! A single [`ValidationService`], built via [`ValidationServiceBuilder`],
-//! runs every case through one stage-step function on the stage-pipelined
-//! work-stealing executor of [`parallel`]; [`ExecutionStrategy`] only sets
-//! its worker count, and records are identical at every worker count.
+//! runs every case through one stage-rules function on the executor of
+//! [`parallel`], whose workers each take whole cases through every stage;
+//! [`ExecutionStrategy`] only sets its worker count, and records are
+//! identical at every worker count.
 //!
 //! Results come in two shapes: a batch [`ValidationService::run`] returning
 //! a [`PipelineRun`], and a streaming [`ValidationService::submit`]

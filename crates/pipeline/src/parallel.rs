@@ -1,35 +1,28 @@
-//! The stage-pipelined, work-stealing executor behind every
-//! [`crate::ValidationService`] stream.
+//! The executor behind every [`crate::ValidationService`] stream.
 //!
 //! # Topology
 //!
-//! Every worker runs the whole pipeline: three shared [`Injector`] queues
-//! (compile → execute → judge) hold the stage transitions, and each of the
-//! `workers` threads pops from its *home* stage first — homes are
-//! distributed by measured per-case stage cost, execute-heavy — then
-//! steals from the other stages, downstream-first, whenever its home queue
-//! is empty. A worker that finds every queue empty admits new input. The
-//! result is a schedule that pipelines across stages *and* parallelizes
-//! within them, with no thread ever idle while any stage has work, at any
-//! worker count (a single worker degenerates to exactly the sequential
-//! schedule). Each pop runs one `Stages::step`, the one definition of
-//! the per-stage rules.
+//! Each of the `workers` identical threads runs whole cases: it takes a
+//! run of consecutive cases from the input, takes each one through every
+//! stage with one `Stages::run` call (the one definition of the stage
+//! rules), and files the finished record in the reorder ring. A case stays
+//! on the worker that admitted it. A single worker is exactly the
+//! sequential schedule.
 //!
 //! # Constant memory
 //!
 //! Input is pulled lazily from the caller's iterator, gated by a global
 //! in-flight window: cases pulled but not yet yielded to the consumer.
-//! Admission is every worker's *last* resort and comes in *runs*: the
-//! worker holding the input lock pulls up to a batch (`window / 8`, at
-//! least one) of consecutive cases, never more than the window has room
-//! for, keeps the first and pushes the rest onto the compile queue with
-//! one wakeup. Queue depths therefore stay within one run under steady
-//! state, and the window is only reached when the consumer or a stage
-//! stalls. Nothing in the executor blocks while holding queue space:
-//! stage transitions are pushes, and a finished record waits in the
-//! reorder ring, which the consumer drains, so the classic pipeline
-//! deadlock (a full downstream channel holding up the stage that must
-//! drain it) cannot be constructed.
+//! Admission comes in *runs*: under the input lock a worker pulls
+//! consecutive cases into a private queue and processes them in order
+//! before it admits again. A run is at most a batch (`window / 8`) and at
+//! most the worker's share of the window's room (`room / workers`), and at
+//! least one case. The share keeps room for every worker to hold a case
+//! at once, and keeps short the runs that queue behind a slow case when
+//! the window runs low. A worker waits only when the window is full, and
+//! never while it holds cases: its records go to the reorder ring, which
+//! the consumer drains, so no worker can block another and the run cannot
+//! deadlock.
 //!
 //! # Submission order
 //!
@@ -53,68 +46,55 @@
 //! worker leases its own `CompileSession`s (returned to the backend's
 //! pool at exit). The compile cache the sessions share is internally
 //! sharded ([`vv_simcompiler::DEFAULT_CACHE_SHARDS`] ways) with per-shard
-//! locks and counters. What remains shared is synchronised once per batch
-//! where it can be: the admission iterator once per run, the ring once
-//! per record for the producer and once per drained batch for the
-//! consumer, the stage queues once per stage transition.
+//! locks and counters. What remains shared is the input lock, taken once
+//! per admission run, and the ring, taken once per record by a worker and
+//! once per drained batch by the consumer.
 //!
-//! Wakeups follow the same rule. A worker notification bumps an atomic
-//! generation and takes the monitor lock and condvar only when a sleeper
-//! count shows a parked worker; a parking worker counts itself under the
-//! monitor lock before it re-checks the generation, so no wakeup is lost.
-//! A worker wakes the consumer only when the consumer is parked, the next
-//! record in order is ready, and either a batch of records is ready, the
-//! window is full, or the input is exhausted. The consumer in turn wakes
-//! workers only when its yields open a batch of window room or finish the
-//! run. The short condvar timeouts remain purely as a liveness backstop.
+//! # Wakeups
+//!
+//! A worker that finds the window full waits on a condvar paired with the
+//! input lock. The consumer wakes it when its yields open a batch of
+//! window room; the worker that exhausts the input, and a cancel, wake it
+//! too. A worker wakes the consumer only when the consumer is parked, the
+//! next record in order is ready, and either a batch of records is ready,
+//! the window is full, or the input is exhausted. The short condvar
+//! timeouts remain purely as a liveness backstop.
 //!
 //! # Shutdown and panics
 //!
 //! Dropping the [`crate::RecordStream`] flips the cancel flag, and every
-//! worker (parked workers time out on a short condvar wait) drains out
-//! promptly. A panicking backend or input iterator sets the same flag
-//! from the worker's drop guard, so the remaining workers retire, the
-//! consumer stops waiting, the stream's join re-raises the panic on the
-//! consumer thread, and no thread is leaked — the early-drop stress test
-//! in `tests/parallel_parity.rs` and this module's tests exercise these
-//! paths.
+//! worker drains out promptly: a worker checks the flag before each case,
+//! and a waiting worker is woken. A panicking backend or input iterator
+//! sets the same flag from the worker's drop guard, so the remaining
+//! workers retire, the consumer stops waiting, the stream's join re-raises
+//! the panic on the consumer thread, and no thread is leaked — the
+//! early-drop stress test in `tests/parallel_parity.rs` and this module's
+//! tests exercise these paths.
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::deque::{Injector, Steal};
-
-use crate::stage::{Case, Leases, Stages, Step};
+use crate::stage::{Leases, Stages};
 use crate::stats::PipelineStats;
 use crate::{CaseRecord, WorkItem};
 
-/// Stage indices into the queue array.
-const COMPILE: usize = 0;
-const EXEC: usize = 1;
-const JUDGE: usize = 2;
-
-/// How long an idle worker (or the waiting consumer) sleeps before
-/// re-scanning on its own. Wakeups are normally driven by notifications;
+/// How long a waiting worker (or the waiting consumer) sleeps before
+/// re-checking on its own. Wakeups are normally driven by notifications;
 /// the timeout is the liveness backstop that bounds shutdown latency even
 /// if a wakeup is lost.
 const IDLE_PARK: Duration = Duration::from_millis(5);
 
-/// A case in flight, tagged with its submission ordinal.
-struct Task {
-    seq: usize,
-    item: WorkItem,
-    case: Case,
-}
+/// A worker's admitted run: cases tagged with their submission ordinals.
+type Run = VecDeque<(usize, WorkItem)>;
 
 /// The lazy input iterator plus the admission ordinal counter.
 struct InputState {
     items: Box<dyn Iterator<Item = WorkItem> + Send>,
     next_seq: usize,
-    done: bool,
 }
 
 /// The submission-order release ring the consumer drains: completed
@@ -132,27 +112,22 @@ struct Reorder {
 /// State shared by every worker of one run and its consumer.
 struct Core {
     stages: Arc<Stages>,
+    /// Worker thread count.
+    workers: usize,
     /// Bound on cases pulled but not yet yielded to the consumer.
     window: usize,
     /// Cases admitted per run, ready records worth waking the consumer
     /// for, and window room worth waking a worker for.
     batch: usize,
-    queues: [Injector<Task>; 3],
     input: Mutex<InputState>,
+    /// Signals workers waiting for window room, paired with `input`.
+    room: Condvar,
+    /// Set under the input lock once the iterator is exhausted.
     input_done: AtomicBool,
     in_flight: AtomicUsize,
     reorder: Mutex<Reorder>,
     /// Signals the consumer, paired with `reorder`.
     ready: Condvar,
-    /// Bumped by every worker notification, so a worker that observed
-    /// generation `g` before its final empty scan can sleep without
-    /// racing a push that happened in between.
-    generation: AtomicU64,
-    /// Workers inside `park`; notifications skip the condvar while zero.
-    sleepers: AtomicUsize,
-    /// Paired with `wakeup`; guards nothing but the park/notify hand-off.
-    monitor: Mutex<()>,
-    wakeup: Condvar,
     cancelled: AtomicBool,
     stats: Arc<parking_lot::Mutex<PipelineStats>>,
 }
@@ -181,14 +156,14 @@ pub(crate) fn spawn(
     let window = capacity.max(2 * workers);
     let core = Arc::new(Core {
         stages,
+        workers,
         window,
         batch: batch_of(window),
-        queues: [Injector::new(), Injector::new(), Injector::new()],
         input: Mutex::new(InputState {
             items: Box::new(items),
             next_seq: 0,
-            done: false,
         }),
+        room: Condvar::new(),
         input_done: AtomicBool::new(false),
         in_flight: AtomicUsize::new(0),
         reorder: Mutex::new(Reorder {
@@ -198,17 +173,13 @@ pub(crate) fn spawn(
             consumer_parked: false,
         }),
         ready: Condvar::new(),
-        generation: AtomicU64::new(0),
-        sleepers: AtomicUsize::new(0),
-        monitor: Mutex::new(()),
-        wakeup: Condvar::new(),
         cancelled: AtomicBool::new(false),
         stats: Arc::clone(stats),
     });
     let handles = (0..workers)
-        .map(|index| {
+        .map(|_| {
             let core = Arc::clone(&core);
-            std::thread::spawn(move || worker(core, home_stage(index)))
+            std::thread::spawn(move || worker(core))
         })
         .collect();
     Executor {
@@ -233,10 +204,10 @@ impl Executor {
         let record = self.released.pop_front()?;
         let core = &*self.core;
         let after = core.in_flight.fetch_sub(1, Ordering::AcqRel) - 1;
-        if after == core.window.saturating_sub(core.batch) || after == 0 {
-            // A batch of window room just opened, or the run may be
-            // finished: wake admission-blocked and retiring workers.
-            core.notify();
+        if after == core.window - core.batch {
+            // A batch of window room just opened: wake the workers
+            // waiting to admit.
+            core.wake_admission();
         }
         Some(record)
     }
@@ -311,66 +282,30 @@ impl Reorder {
     }
 }
 
-/// The home stage of worker `index`. Homes are distributed by measured
-/// per-case stage cost (BENCH_PR5: execute dominates by ~5x over judge
-/// and ~50x over a cached compile — weights 1:7:2), so pop priorities
-/// roughly match where the cycles go; work stealing reassigns threads the
-/// moment reality differs (e.g. under a latency-paced judge, where the
-/// judge stage dominates instead).
-fn home_stage(index: usize) -> usize {
-    const PATTERN: [usize; 10] = [
-        EXEC, EXEC, JUDGE, EXEC, EXEC, COMPILE, EXEC, JUDGE, EXEC, EXEC,
-    ];
-    PATTERN[index % PATTERN.len()]
-}
-
 fn lock_poison_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
 impl Core {
-    /// Bump the notification generation and wake every parked worker.
-    /// The generation bump and the sleeper check are sequentially
-    /// consistent with `park`'s sleeper count and generation re-check, so
-    /// either the parker sees the bump or this sees the parker; taking
-    /// the monitor lock then orders the wakeup after the parker's wait.
-    fn notify(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(lock_poison_ok(&self.monitor));
-            self.wakeup.notify_all();
-        }
+    /// Wake the workers waiting for window room after a change they read
+    /// under the input lock. Taking the lock orders the change before a
+    /// waiter's next check, so the wakeup cannot fall between its check
+    /// and its wait.
+    fn wake_admission(&self) {
+        drop(lock_poison_ok(&self.input));
+        self.room.notify_all();
     }
 
-    /// Wake the consumer after a change `finished` reads. Taking the
-    /// reorder lock orders the change before the consumer's next check,
-    /// so the wakeup cannot fall between its check and its wait.
+    /// Wake the consumer after a change `finished` reads, ordered the same
+    /// way through the reorder lock.
     fn wake_consumer(&self) {
         drop(lock_poison_ok(&self.reorder));
         self.ready.notify_all();
     }
 
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Sleep until the generation moves past `observed` (or the liveness
-    /// timeout elapses).
-    fn park(&self, observed: u64) {
-        let guard = lock_poison_ok(&self.monitor);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.generation() == observed {
-            let _ = self
-                .wakeup
-                .wait_timeout(guard, IDLE_PARK)
-                .unwrap_or_else(|poison| poison.into_inner());
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
     fn cancel(&self) {
         self.cancelled.store(true, Ordering::Release);
-        self.notify();
+        self.wake_admission();
         self.wake_consumer();
     }
 
@@ -387,86 +322,52 @@ impl Core {
                 && self.in_flight.load(Ordering::Acquire) == 0)
     }
 
-    /// Find the next task: home queue, then the other stages
-    /// downstream-first, then new input (admission is the last resort, so
-    /// in-flight cases drain before new ones enter and queue depths stay
-    /// within one admission run).
-    fn find_task(&self, home: usize) -> Option<Task> {
-        let order = match home {
-            COMPILE => [COMPILE, JUDGE, EXEC],
-            EXEC => [EXEC, JUDGE, COMPILE],
-            _ => [JUDGE, EXEC, COMPILE],
-        };
-        for stage in order {
-            loop {
-                match self.queues[stage].steal() {
-                    Steal::Success(task) => return Some(task),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        self.admit()
-    }
-
-    /// Pull a run of up to `batch` consecutive cases from the input
-    /// iterator, bounded by the in-flight window's room; keep the first
-    /// and queue the rest for compile. Admissions are serialized by the
-    /// input lock and only they raise the in-flight count, so the window
-    /// is never overshot.
-    fn admit(&self) -> Option<Task> {
+    /// Pull the next run of consecutive cases into `run`, waiting while
+    /// the window is full: at most `batch` and at most this worker's share
+    /// of the window's room, but at least one case. False once the input
+    /// is exhausted or the run is cancelled. Admissions are serialized by
+    /// the input lock and only they raise the in-flight count, so the
+    /// window is never overshot.
+    fn admit(&self, run: &mut Run) -> bool {
         let mut input = lock_poison_ok(&self.input);
-        let room = self
-            .window
-            .saturating_sub(self.in_flight.load(Ordering::Acquire));
-        if input.done || room == 0 {
-            return None;
-        }
-        let len = room.min(self.batch);
-        let mut run = Vec::with_capacity(len);
+        let room = loop {
+            if self.cancelled() || self.input_done.load(Ordering::Acquire) {
+                return false;
+            }
+            let room = self.window - self.in_flight.load(Ordering::Acquire);
+            if room > 0 {
+                break room;
+            }
+            input = self
+                .room
+                .wait_timeout(input, IDLE_PARK)
+                .unwrap_or_else(|poison| poison.into_inner())
+                .0;
+        };
+        let mut exhausted = false;
+        let len = (room / self.workers).clamp(1, self.batch);
         while run.len() < len {
             let Some(item) = input.items.next() else {
-                input.done = true;
+                exhausted = true;
                 break;
             };
-            run.push(Task {
-                seq: input.next_seq,
-                item,
-                case: Case::Admitted,
-            });
+            run.push_back((input.next_seq, item));
             input.next_seq += 1;
         }
         // Count the run in flight before the next admission reads the
         // room, before `finished` can observe the exhaustion, and before
         // any of it can be yielded.
         self.in_flight.fetch_add(run.len(), Ordering::AcqRel);
-        let exhausted = input.done;
-        drop(input);
         if exhausted {
             self.input_done.store(true, Ordering::Release);
-            // Wake the consumer so it observes the exhaustion.
+        }
+        drop(input);
+        if exhausted {
+            // Waiting workers retire, and the consumer observes the end.
+            self.room.notify_all();
             self.wake_consumer();
         }
-        let mut run = run.into_iter();
-        let first = run.next();
-        // One wakeup for the rest of the run, and for idlers to observe
-        // the exhaustion.
-        if run.len() > 0 || exhausted {
-            run.for_each(|task| self.queues[COMPILE].push(task));
-            self.notify();
-        }
-        first
-    }
-
-    /// Push a stage transition and wake a worker for it.
-    fn forward(&self, task: Task) {
-        let stage = match task.case {
-            Case::Admitted => COMPILE,
-            Case::Compiled { .. } => EXEC,
-            Case::Executed { .. } => JUDGE,
-        };
-        self.queues[stage].push(task);
-        self.notify();
+        !run.is_empty()
     }
 
     /// Put a completed record in the reorder ring. The consumer is woken
@@ -506,57 +407,27 @@ impl Drop for WorkerState {
         }
         self.core.stages.release(&mut self.leases);
         self.core.stats.lock().merge(&self.local);
-        // A retiring worker may be the one whose exit completed the run;
-        // make sure parked peers re-check promptly.
-        self.core.notify();
     }
 }
 
-/// One worker thread: scan for work, process, retire when the run is
-/// complete (or cancelled).
-fn worker(core: Arc<Core>, home: usize) {
+/// One worker thread: admit a run, take each case through every stage,
+/// repeat until the input is exhausted (or the run is cancelled).
+fn worker(core: Arc<Core>) {
     let mut state = WorkerState {
         core: Arc::clone(&core),
         local: PipelineStats::default(),
         leases: Leases::new(),
     };
-    loop {
-        if core.cancelled() {
-            break;
+    let mut run = Run::with_capacity(core.batch);
+    while core.admit(&mut run) {
+        while let Some((seq, item)) = run.pop_front() {
+            if core.cancelled() {
+                return;
+            }
+            state.local.submitted += 1;
+            let record = core.stages.run(&item, &mut state.leases, &mut state.local);
+            core.emit(seq, record);
         }
-        if let Some(task) = core.find_task(home) {
-            run_task(&mut state, task);
-            continue;
-        }
-        // Empty scan. Snapshot the generation, re-scan once (a push may
-        // have raced the first scan), then park against the snapshot: a
-        // notification between snapshot and park bumps the generation and
-        // the park returns immediately.
-        let observed = core.generation();
-        if core.finished() {
-            break;
-        }
-        if let Some(task) = core.find_task(home) {
-            run_task(&mut state, task);
-            continue;
-        }
-        core.park(observed);
-    }
-}
-
-/// Run one stage of one case and route the result.
-fn run_task(state: &mut WorkerState, task: Task) {
-    let Task { seq, item, case } = task;
-    if matches!(case, Case::Admitted) {
-        state.local.submitted += 1;
-    }
-    let core = &state.core;
-    match core
-        .stages
-        .step(&item, case, &mut state.leases, &mut state.local)
-    {
-        Step::Next(case) => core.forward(Task { seq, item, case }),
-        Step::Done(record) => core.emit(seq, record),
     }
 }
 
@@ -593,8 +464,8 @@ mod tests {
             .size(len)
     }
 
-    /// A compiler that rejects every file at once, so a case is one step
-    /// and the run is all hand-offs.
+    /// A compiler that rejects every file at once, so a case costs almost
+    /// nothing and the run is all admission, ring and wakeup traffic.
     struct RejectAll;
     impl CompileBackend for RejectAll {
         fn compile(&self, _item: &WorkItem) -> CompileOutput {
@@ -612,34 +483,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn short_streams_never_wait_for_the_park_backstop() {
-        const STREAMS: u32 = 400;
-        let items: Vec<WorkItem> = (0..3)
+    /// `len` trivial C cases.
+    fn items(len: usize) -> Vec<WorkItem> {
+        (0..len)
             .map(|i| WorkItem {
                 id: format!("case-{i}"),
                 source: "int main() { return 0; }".into(),
                 lang: Lang::C,
                 model: DirectiveModel::OpenAcc,
             })
-            .collect();
-        for workers in [1, 2] {
-            let service = ValidationService::builder()
-                .strategy(ExecutionStrategy::Pipelined { workers })
-                .compile_backend(RejectAll)
-                .build();
-            let started = Instant::now();
-            for _ in 0..STREAMS {
-                let records: Vec<_> = service.submit(items.clone()).collect();
-                assert_eq!(records.len(), items.len());
+            .collect()
+    }
+
+    /// A compiler whose first `parties` calls each wait until all of them
+    /// are inside it at once, or until a timeout, which it records.
+    struct Rendezvous {
+        parties: usize,
+        arrived: std::sync::Mutex<usize>,
+        all_in: Condvar,
+        timed_out: Arc<AtomicBool>,
+    }
+    impl CompileBackend for Rendezvous {
+        fn compile(&self, item: &WorkItem) -> CompileOutput {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all_in.notify_all();
+            while *arrived < self.parties {
+                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                    self.timed_out.store(true, Ordering::Relaxed);
+                    break;
+                };
+                arrived = self.all_in.wait_timeout(arrived, left).unwrap().0;
             }
-            let elapsed = started.elapsed();
-            // A lost or withheld wakeup costs a whole park timeout; losing
-            // one in every other stream would already take this long.
-            assert!(
-                elapsed < IDLE_PARK * STREAMS / 2,
-                "workers={workers}: {STREAMS} three-case streams took {elapsed:?}"
-            );
+            drop(arrived);
+            RejectAll.compile(item)
+        }
+    }
+
+    #[test]
+    fn every_worker_holds_a_case_at_once() {
+        // Sixteen workers share the default window of 64 cases. If the
+        // first workers' runs took the whole window, the rest would wait
+        // for room and the rendezvous would time out.
+        let (window, _) = default_window_and_batch();
+        let workers = 16;
+        let timed_out = Arc::new(AtomicBool::new(false));
+        let service = ValidationService::builder()
+            .strategy(ExecutionStrategy::Pipelined { workers })
+            .compile_backend(Rendezvous {
+                parties: workers,
+                arrived: std::sync::Mutex::new(0),
+                all_in: Condvar::new(),
+                timed_out: Arc::clone(&timed_out),
+            })
+            .build();
+        let len = 2 * window;
+        assert_eq!(service.submit(items(len)).count(), len);
+        assert!(
+            !timed_out.load(Ordering::Relaxed),
+            "fewer than {workers} workers held a case at once"
+        );
+    }
+
+    #[test]
+    fn short_streams_never_wait_for_the_park_backstop() {
+        let (window, _) = default_window_and_batch();
+        // (streams, cases per stream, channel capacity, backstop waits
+        // allowed). A lost or withheld wakeup costs a whole park timeout.
+        // Many three-case streams catch one at the end of a stream; one
+        // long stream through a window of two or four cases keeps the
+        // window full, so every admission waits on the consumer's wakeup.
+        let shapes = [(400u32, 3, window, 400 / 2), (1, 2000, 1, 2000 / 20)];
+        for (streams, len, capacity, waits) in shapes {
+            let items = items(len);
+            for workers in [1, 2] {
+                let service = ValidationService::builder()
+                    .strategy(ExecutionStrategy::Pipelined { workers })
+                    .channel_capacity(capacity)
+                    .compile_backend(RejectAll)
+                    .build();
+                let started = Instant::now();
+                for _ in 0..streams {
+                    let records: Vec<_> = service.submit(items.clone()).collect();
+                    assert_eq!(records.len(), len);
+                }
+                let elapsed = started.elapsed();
+                assert!(
+                    elapsed < IDLE_PARK * waits,
+                    "workers={workers}: {streams} {len}-case streams took {elapsed:?}"
+                );
+            }
         }
     }
 

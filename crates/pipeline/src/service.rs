@@ -13,8 +13,8 @@
 //! * [`ValidationService::process_case`] — one case on the calling thread,
 //!   for external schedulers such as the validation server.
 //!
-//! Every path runs the same per-stage rules (`stage::Stages::step`), so
-//! they produce identical records for identical inputs at any worker count
+//! Every path runs the same stage rules (`stage::Stages::run`), so they
+//! produce identical records for identical inputs at any worker count
 //! (asserted by the worker-count parity tests).
 
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use crate::backend::{
 use crate::parallel::Executor;
 use crate::persist::RecordStore;
 use crate::runner::PipelineRun;
-use crate::stage::Stages;
+use crate::stage::{Leases, Stages};
 use crate::stats::PipelineStats;
 use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
@@ -37,16 +37,16 @@ use vv_judge::{JudgeProfile, PromptStyle};
 use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
-/// How the service schedules the per-file work: the stage-pipelined
-/// work-stealing executor of [`crate::parallel`] over `workers` threads
-/// (`0` = one per available core). Per-worker home stages are sized to
-/// measured stage cost, workers steal across stages, input is admitted
-/// lazily in runs under an in-flight window, and a reorder ring makes the
-/// stream yield records in submission order. Records do not depend on the
-/// worker count (the worker-count parity laws); only throughput does.
+/// How the service schedules the per-file work: the executor of
+/// [`crate::parallel`] over `workers` threads (`0` = one per available
+/// core). Each worker takes whole cases through every stage, input is
+/// admitted lazily in runs under an in-flight window, and a reorder ring
+/// makes the stream yield records in submission order. Records do not
+/// depend on the worker count (the worker-count parity laws); only
+/// throughput does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutionStrategy {
-    /// Stage-pipelined work stealing over `workers` threads.
+    /// Whole cases on each of `workers` threads.
     Pipelined {
         /// Worker thread count; `0` resolves to
         /// `std::thread::available_parallelism()`.
@@ -95,7 +95,7 @@ pub struct ValidationServiceBuilder {
     strategy: ExecutionStrategy,
     compile: Option<Arc<dyn CompileBackend>>,
     /// Concrete handle kept alongside `compile` when the compile backend is
-    /// the default simulated one, so the pipelined executor can lease
+    /// the default simulated one, so the executor's workers can lease
     /// per-worker sessions instead of round-tripping the pool per case.
     sim_compile: Option<Arc<SimCompileBackend>>,
     exec: Option<Arc<dyn ExecBackend>>,
@@ -391,7 +391,9 @@ impl ValidationService {
     /// whatever thread or order an external scheduler picks.
     pub fn process_case(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
         let mut local = PipelineStats::default();
-        let record = self.stages.run(item, &mut local);
+        let mut leases = Leases::new();
+        let record = self.stages.run(item, &mut leases, &mut local);
+        self.stages.release(&mut leases);
         stats.lock().merge(&local);
         record
     }

@@ -1,5 +1,6 @@
-//! Worker-count parity and shutdown laws of the pipelined work-stealing
-//! executor, the one scheduler behind `ValidationService::submit`.
+//! Worker-count parity and shutdown laws of the executor, the one
+//! scheduler behind `ValidationService::submit`, whose workers each take
+//! whole cases through every stage.
 //!
 //! The contract under test, at release scale:
 //!

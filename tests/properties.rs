@@ -130,8 +130,8 @@ fn probing_always_splits_at_the_requested_fraction() {
 
 #[test]
 fn staged_pipeline_equals_sequential_for_any_worker_shape() {
-    // Sweep over models, seeds and worker counts; the stage-pipelined
-    // multi-worker executor and the sequential `process_case` loop must
+    // Sweep over models, seeds and worker counts; the multi-worker
+    // executor and the sequential `process_case` loop must
     // always agree on every record, and so on every verdict and on how far
     // every file progressed.
     let worker_counts = [1usize, 2, 3, 4];
