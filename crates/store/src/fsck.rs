@@ -52,8 +52,9 @@ impl fmt::Display for FsckReport {
     }
 }
 
-/// Verify every structure in a store directory: manifest checksum, each
-/// listed segment's length/record checksums, and orphaned files. Other
+/// Verify every structure in a store directory: the manifest's frames
+/// (read as open reads them, so a torn tail is damage), each listed
+/// segment's length/record checksums, and orphaned files. Other
 /// files in the directory are not the store's and are ignored. Read-only.
 pub fn check(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
     let dir = dir.as_ref();
@@ -65,7 +66,17 @@ pub fn check(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
             .map_err(StoreError::from)
             .and_then(|b| parse_manifest(&b))
         {
-            Ok(listed) => listed,
+            Ok(log) => {
+                if log.torn_bytes > 0 {
+                    report.torn.push(format!(
+                        "{MANIFEST_NAME}: {} entries intact ({} valid bytes), then a torn tail of {} bytes",
+                        log.entries.len(),
+                        log.valid_bytes,
+                        log.torn_bytes
+                    ));
+                }
+                log.entries
+            }
             Err(err) => {
                 report.torn.push(format!("{MANIFEST_NAME}: {err}"));
                 Vec::new()
@@ -174,6 +185,32 @@ mod tests {
         assert_eq!(removed.len(), 2);
         let report = check(&dir).unwrap();
         assert!(report.clean(), "{report}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_manifest_tail_is_flagged() {
+        let dir = temp_dir("torn-manifest");
+        {
+            let store = ArtifactStore::open(&dir).unwrap();
+            store.put(kind::COMPILE, 1, b"a", b"1").unwrap();
+            store.flush().unwrap();
+            store.put(kind::COMPILE, 2, b"b", b"2").unwrap();
+            store.flush().unwrap();
+        }
+        let manifest = dir.join(MANIFEST_NAME);
+        let len = fs::metadata(&manifest).unwrap().len();
+        let file = fs::OpenOptions::new().write(true).open(&manifest).unwrap();
+        file.set_len(len - 1).unwrap();
+        drop(file);
+        let report = check(&dir).unwrap();
+        assert!(!report.clean());
+        assert_eq!(report.torn.len(), 1, "{report}");
+        assert!(report.torn[0].starts_with(MANIFEST_NAME), "{report}");
+        // The segment the torn frame listed is an orphan; the first one
+        // still verifies.
+        assert_eq!((report.segments_ok, report.records), (1, 1), "{report}");
+        assert_eq!(report.orphans.len(), 1, "{report}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,12 +15,13 @@
 //! A store directory contains:
 //!
 //! ```text
-//! manifest.vvs        the list of sealed segments (rewritten atomically)
+//! manifest.vvs        the log of sealed segments (appended once per seal)
 //! seg-00000000.vvs    sealed record segments, append-only, never rewritten
 //! seg-00000001.vvs
 //! ...
-//! store.lock          owning process id (see [`lock`]); refused opens
-//!                     from other live processes get [`StoreError::Locked`]
+//! store.lock          owning process id (see [`lock`]; never synced);
+//!                     refused opens from other live processes get
+//!                     [`StoreError::Locked`]
 //! .tmp-*              in-flight atomic writes; deleted on open
 //! ```
 //!
@@ -55,36 +56,54 @@
 //! ## The manifest (`manifest.vvs`)
 //!
 //! ```text
-//! magic    8 bytes  b"VVSMAN01"
-//! body:
-//!   count    u32
-//!   entry*   count times:
+//! magic   8 bytes   b"VVSMAN02"
+//! entry* ...        until end of file, one per sealed segment
+//!
+//! entry (framed like a segment record):
+//!   len      u32    byte length of `payload`
+//!   checksum u64    fnv1a(payload)
+//!   payload:
 //!     name_len u32
 //!     name     bytes  segment file name
 //!     bytes    u64    expected file length
 //!     records  u64    expected record count
-//! checksum u64      fnv1a(body)
 //! ```
 //!
-//! The manifest is the commit point: a segment exists iff the manifest
-//! lists it. It is always written to a tempfile and renamed over the old
-//! one, so a crash leaves either the old or the new manifest, never a
-//! torn one. Segment files not listed in the manifest are *orphans*
-//! (a crash between segment rename and manifest rename); [`fsck`] reports
-//! them and can garbage-collect them.
+//! The manifest is an append-only log and the commit point: a segment
+//! exists iff an intact entry lists it. A seal appends one entry and syncs
+//! it. Open and [`fsck`] read entries up to the first damaged one; past it
+//! is a *torn tail* (a crash mid-append), which open truncates. Segment
+//! files not listed in the manifest are *orphans* (a crash between segment
+//! rename and manifest append); [`fsck`] reports them and can
+//! garbage-collect them, and the next seal reuses the name of one left by
+//! a torn tail. The whole file is rewritten (tempfile + rename) only by
+//! the first seal, by the seal after a failed append (which may have left
+//! a partial entry), and by open's repair of a damaged segment.
+//!
+//! A `VVSMAN01` manifest (the earlier format, rewritten whole at every
+//! seal) opens as [`StoreError::Corrupt`] naming the format. Stores hold
+//! deterministic results, so a cold run refills a removed one.
 //!
 //! # Crash safety
 //!
 //! * Store writes become durable only at [`ArtifactStore::flush`], which
-//!   seals pending records into a fresh segment (tempfile + rename) and
-//!   then commits it by rewriting the manifest (tempfile + rename). A
-//!   seal that fails leaves its records pending, so the next flush retries
-//!   them instead of reporting success without writing them.
+//!   seals pending records into a fresh segment (tempfile, sync, rename,
+//!   directory sync) and then commits it by appending its manifest entry
+//!   and syncing that. The directory sync comes first, so the manifest
+//!   never lists a segment whose rename could still be lost. A seal that
+//!   fails leaves its records pending, so the next flush retries them
+//!   instead of reporting success without writing them.
+//! * No hot path frees a file's synced blocks: the pidfile is never
+//!   synced, and a seal appends rather than renaming over the manifest.
+//!   On a filesystem with online discard, unlinking or renaming over a
+//!   synced file can stall for tens of milliseconds.
 //! * [`ArtifactStore::open`] validates every listed segment against its
 //!   manifest entry and record checksums. A torn or short segment is
 //!   *repaired*: the valid prefix of records is kept, the tail is
 //!   truncated, and the manifest is rewritten; the number of quarantined
-//!   records is reported in the [`OpenReport`].
+//!   records is reported in the [`OpenReport`]. A torn manifest tail is
+//!   truncated and its length reported; the segment it would have listed
+//!   stays an orphan, and its records re-validate.
 //!
 //! The [`fsck`] module (and the `vv-store fsck` binary) re-verifies all
 //! of the above offline and can remove orphaned segments and stale
@@ -122,8 +141,8 @@ pub mod kind {
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// An on-disk structure is invalid beyond automatic repair (bad magic,
-    /// torn manifest, truncated header).
+    /// An on-disk structure is invalid beyond automatic repair (bad or
+    /// retired manifest magic, truncated header).
     Corrupt(String),
     /// The store directory is owned by another live process (its
     /// `store.lock` pidfile names `owner`). See [`lock`].

@@ -1,15 +1,16 @@
 //! Cross-process store ownership: a `store.lock` pidfile.
 //!
 //! The [`crate::ArtifactStore`] index lives in memory and segments are
-//! committed by manifest rewrite, so two *processes* mutating one store
-//! directory would silently clobber each other's manifests. The lockfile
+//! committed by appending to the manifest, so two *processes* mutating
+//! one store directory would silently clobber each other's manifests. The lockfile
 //! turns that corruption into a clear [`StoreError::Locked`] at open.
 //!
 //! The scheme is deliberately simple (first step of the multi-process
 //! roadmap item, not a distributed lock):
 //!
 //! * `store.lock` holds the owning process id as decimal ASCII, created
-//!   with `create_new` so creation is atomic;
+//!   with `create_new` so creation is atomic, and never synced (the
+//!   comment in `StoreLock::acquire` says why);
 //! * a lock held by the **current process** is re-acquired silently —
 //!   in-process sharing is [`crate::ArtifactStore::open_shared`]'s job,
 //!   and a crash-simulating leak in the same process must not wedge the
@@ -52,8 +53,15 @@ impl StoreLock {
         for _ in 0..2 {
             match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut file) => {
+                    // Deliberately not synced. Unlinking a file whose
+                    // blocks reached disk can stall for tens of
+                    // milliseconds (online discard), and the drop would pay
+                    // that on every close. The sync buys nothing: after a
+                    // power loss a missing file is created again, an empty
+                    // or torn one is stale, and a pid from the previous boot
+                    // is stolen unless a recycled pid makes it look alive,
+                    // which a synced file makes more likely, not less.
                     file.write_all(own_pid.to_string().as_bytes())?;
-                    file.sync_all()?;
                     return Ok(Self { path });
                 }
                 Err(err) if err.kind() == std::io::ErrorKind::AlreadyExists => {

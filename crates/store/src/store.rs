@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -14,7 +14,10 @@ use crate::wire::{fnv1a, Reader, Writer};
 use crate::StoreError;
 
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"VVSSEG01";
-pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"VVSMAN01";
+pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"VVSMAN02";
+/// The magic of the manifest format that was rewritten whole at every
+/// seal; such a manifest is refused by name.
+const RETIRED_MANIFEST_MAGIC: &[u8; 8] = b"VVSMAN01";
 pub(crate) const MANIFEST_NAME: &str = "manifest.vvs";
 
 /// Pending records are sealed into a segment automatically once this many
@@ -37,6 +40,11 @@ pub struct OpenReport {
     pub repaired_segments: Vec<String>,
     /// Stale `.tmp-*` files removed (crashed in-flight atomic writes).
     pub removed_tempfiles: usize,
+    /// Bytes of a torn manifest tail (a seal's append that never
+    /// completed) truncated away. The segment that frame would have
+    /// listed is left an orphan: fsck reports it and its records
+    /// re-validate.
+    pub truncated_manifest_bytes: u64,
 }
 
 impl OpenReport {
@@ -45,6 +53,7 @@ impl OpenReport {
         self.quarantined_records == 0
             && self.repaired_segments.is_empty()
             && self.removed_tempfiles == 0
+            && self.truncated_manifest_bytes == 0
     }
 }
 
@@ -107,6 +116,10 @@ struct Inner {
     /// Inserts since the last seal attempt, successful or not.
     puts_since_seal: usize,
     manifest: Vec<SegmentMeta>,
+    /// The next seal writes the manifest whole (tempfile + rename) instead
+    /// of appending to it: there is no manifest on disk yet, or an append
+    /// failed and may have left a partial frame behind.
+    rewrite_manifest: bool,
     next_segment: u64,
 }
 
@@ -143,7 +156,8 @@ impl ArtifactStore {
     /// Open (creating if necessary) the store in `dir`, loading every
     /// record into the in-memory index. Torn segment tails are quarantined:
     /// the valid record prefix is kept, the damage truncated away, and the
-    /// manifest rewritten — the [`OpenReport`] says what happened.
+    /// manifest rewritten. A torn manifest tail is truncated. The
+    /// [`OpenReport`] says what happened.
     ///
     /// The open acquires the directory's `store.lock` pidfile first: a
     /// directory owned by another **live** process is refused with
@@ -167,14 +181,17 @@ impl ArtifactStore {
 
         let mut inner = Inner::default();
         let manifest_path = dir.join(MANIFEST_NAME);
-        let listed = if manifest_path.exists() {
-            read_manifest(&manifest_path)?
-        } else {
-            Vec::new()
+        let log = match fs::read(&manifest_path) {
+            Ok(bytes) => parse_manifest(&bytes)?,
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+                inner.rewrite_manifest = true;
+                ManifestLog::default()
+            }
+            Err(err) => return Err(err.into()),
         };
 
         let mut manifest_dirty = false;
-        for (meta, scan) in scan_segments(&dir, listed) {
+        for (meta, scan) in scan_segments(&dir, log.entries) {
             let path = dir.join(&meta.name);
             let scan = match scan {
                 Ok(scan) => scan,
@@ -218,7 +235,12 @@ impl ArtifactStore {
         }
         if manifest_dirty {
             write_manifest(&dir, &inner.manifest)?;
+        } else if log.torn_bytes > 0 {
+            let file = OpenOptions::new().write(true).open(&manifest_path)?;
+            file.set_len(log.valid_bytes)?;
+            file.sync_all()?;
         }
+        report.truncated_manifest_bytes = log.torn_bytes;
         report.segments = inner.manifest.len();
         report.records = inner.records;
 
@@ -353,10 +375,10 @@ impl ArtifactStore {
         Ok(true)
     }
 
-    /// Seal every pending record into a fresh segment and commit it to the
-    /// manifest (both via atomic tempfile + rename). No-op when nothing is
-    /// pending. Records leave the pending list only once the manifest
-    /// commits, so after an error the next flush retries them.
+    /// Seal every pending record into a fresh segment (tempfile + rename)
+    /// and commit it by appending its entry to the manifest. No-op when
+    /// nothing is pending. Records leave the pending list only once the
+    /// manifest commits, so after an error the next flush retries them.
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut inner = self.lock();
         self.flush_locked(&mut inner)
@@ -379,23 +401,31 @@ impl ArtifactStore {
             payload.put_u64(rec.addr);
             payload.put_bytes(&rec.key);
             payload.put_bytes(&rec.value);
-            let payload = payload.into_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
+            put_frame(&mut bytes, payload.as_bytes());
         }
 
+        // The directory sync inside `atomic_write` makes the segment's
+        // name durable before the manifest lists it.
         atomic_write(&self.dir, &self.dir.join(&name), &bytes)?;
         inner.manifest.push(SegmentMeta {
             name,
             bytes: bytes.len() as u64,
             records: inner.pending.len() as u64,
         });
-        if let Err(err) = write_manifest(&self.dir, &inner.manifest) {
-            // The segment stays an unlisted orphan; its records retry.
+        let committed = if inner.rewrite_manifest {
+            write_manifest(&self.dir, &inner.manifest)
+        } else {
+            append_manifest(&self.dir, inner.manifest.last().expect("entry just pushed"))
+        };
+        if let Err(err) = committed {
+            // The segment stays an unlisted orphan; its records retry, and
+            // the retry rewrites the manifest rather than append after a
+            // partial frame.
             inner.manifest.pop();
+            inner.rewrite_manifest = true;
             return Err(err);
         }
+        inner.rewrite_manifest = false;
         inner.pending.clear();
         Ok(())
     }
@@ -437,8 +467,8 @@ fn segment_sequence(name: &str) -> Option<u64> {
 }
 
 /// Write `bytes` to `path` atomically: tempfile in the same directory,
-/// sync, rename into place.
-pub(crate) fn atomic_write(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// sync, rename into place, sync the directory so the rename is durable.
+fn atomic_write(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let file_name = path
         .file_name()
         .ok_or_else(|| StoreError::Corrupt("atomic write target has no file name".into()))?;
@@ -448,53 +478,116 @@ pub(crate) fn atomic_write(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), 
     file.sync_all()?;
     drop(file);
     fs::rename(&tmp, path)?;
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
-pub(crate) fn write_manifest(dir: &Path, manifest: &[SegmentMeta]) -> Result<(), StoreError> {
-    let mut body = Writer::with_capacity(64 * manifest.len() + 16);
-    body.put_u32(manifest.len() as u32);
-    for meta in manifest {
-        body.put_str(&meta.name);
-        body.put_u64(meta.bytes);
-        body.put_u64(meta.records);
-    }
-    let body = body.into_bytes();
-    let mut bytes = Vec::with_capacity(body.len() + 16);
+/// Write the whole manifest (tempfile + rename). Only the first seal, the
+/// seal after a failed append, and open's repair take this path: renaming
+/// over a synced file frees its blocks, which some disks make slow.
+fn write_manifest(dir: &Path, manifest: &[SegmentMeta]) -> Result<(), StoreError> {
+    let mut bytes = Vec::with_capacity(MANIFEST_MAGIC.len() + 48 * manifest.len());
     bytes.extend_from_slice(MANIFEST_MAGIC);
-    bytes.extend_from_slice(&body);
-    bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
+    for meta in manifest {
+        put_manifest_entry(&mut bytes, meta);
+    }
     atomic_write(dir, &dir.join(MANIFEST_NAME), &bytes)
 }
 
-fn read_manifest(path: &Path) -> Result<Vec<SegmentMeta>, StoreError> {
-    let bytes = fs::read(path)?;
-    parse_manifest(&bytes)
+/// Commit one sealed segment: append its frame to the manifest and sync
+/// it. The manifest must already exist; this never creates it.
+fn append_manifest(dir: &Path, meta: &SegmentMeta) -> Result<(), StoreError> {
+    let mut frame = Vec::with_capacity(meta.name.len() + 32);
+    put_manifest_entry(&mut frame, meta);
+    let mut file = OpenOptions::new()
+        .append(true)
+        .open(dir.join(MANIFEST_NAME))?;
+    file.write_all(&frame)?;
+    file.sync_data()?;
+    Ok(())
 }
 
-pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<Vec<SegmentMeta>, StoreError> {
-    if bytes.len() < SEGMENT_MAGIC.len() + 8 || &bytes[..8] != MANIFEST_MAGIC {
+fn put_manifest_entry(out: &mut Vec<u8>, meta: &SegmentMeta) {
+    let mut payload = Writer::with_capacity(meta.name.len() + 20);
+    payload.put_str(&meta.name);
+    payload.put_u64(meta.bytes);
+    payload.put_u64(meta.records);
+    put_frame(out, payload.as_bytes());
+}
+
+fn decode_manifest_entry(payload: &[u8]) -> Option<SegmentMeta> {
+    let mut reader = Reader::new(payload);
+    let meta = SegmentMeta {
+        name: reader.get_str("manifest segment name").ok()?.to_string(),
+        bytes: reader.get_u64("manifest segment bytes").ok()?,
+        records: reader.get_u64("manifest segment records").ok()?,
+    };
+    reader.is_exhausted().then_some(meta)
+}
+
+/// The manifest log as read: its intact entries in seal order, and the
+/// torn tail (an append that never completed) past them.
+#[derive(Default)]
+pub(crate) struct ManifestLog {
+    pub entries: Vec<SegmentMeta>,
+    /// Byte length of the valid prefix (magic + intact frames).
+    pub valid_bytes: u64,
+    /// Bytes past the valid prefix.
+    pub torn_bytes: u64,
+}
+
+pub(crate) fn parse_manifest(bytes: &[u8]) -> Result<ManifestLog, StoreError> {
+    if bytes.starts_with(RETIRED_MANIFEST_MAGIC) {
+        return Err(StoreError::Corrupt(
+            "manifest is in the retired VVSMAN01 format; this build reads VVSMAN02 only, \
+             so remove the store directory and let a cold run refill it"
+                .into(),
+        ));
+    }
+    if !bytes.starts_with(MANIFEST_MAGIC) {
         return Err(StoreError::Corrupt("manifest magic".into()));
     }
-    let body = &bytes[8..bytes.len() - 8];
-    let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv1a(body) != sum {
-        return Err(StoreError::Corrupt("manifest checksum".into()));
+    let (entries, end) = read_frames(bytes, MANIFEST_MAGIC.len(), decode_manifest_entry);
+    Ok(ManifestLog {
+        entries,
+        valid_bytes: end as u64,
+        torn_bytes: (bytes.len() - end) as u64,
+    })
+}
+
+/// Append one `len u32 | fnv1a(payload) u64 | payload` frame: the framing
+/// of segment records and manifest entries alike.
+fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Read the frames of a segment or the manifest from `pos` on, stopping at
+/// the first one that is cut short, fails its checksum or does not
+/// `decode`. Returns the decoded items and the end of the valid prefix.
+fn read_frames<T>(
+    bytes: &[u8],
+    mut pos: usize,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> (Vec<T>, usize) {
+    let mut items = Vec::new();
+    while let Some(header) = bytes.get(pos..pos + 12) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let sum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+        let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
+            break;
+        };
+        if fnv1a(payload) != sum {
+            break;
+        }
+        let Some(item) = decode(payload) else {
+            break;
+        };
+        items.push(item);
+        pos += 12 + len;
     }
-    let mut reader = Reader::new(body);
-    let count = reader.get_u32("manifest count")?;
-    let mut manifest = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        manifest.push(SegmentMeta {
-            name: reader.get_str("manifest segment name")?.to_string(),
-            bytes: reader.get_u64("manifest segment bytes")?,
-            records: reader.get_u64("manifest segment records")?,
-        });
-    }
-    if !reader.is_exhausted() {
-        return Err(StoreError::Corrupt("manifest trailing bytes".into()));
-    }
-    Ok(manifest)
+    (items, pos)
 }
 
 /// One parsed segment record: `(kind, addr, key, value)`. Shared slices
@@ -568,28 +661,16 @@ pub(crate) fn scan_segment(
     path: &Path,
     expect: Option<&SegmentMeta>,
 ) -> Result<SegmentScan, StoreError> {
-    let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    let bytes = fs::read(path)?;
+    if !bytes.starts_with(SEGMENT_MAGIC) {
         return Ok(SegmentScan {
             records: Vec::new(),
             valid_bytes: 0,
             torn: true,
         });
     }
-    let mut records = Vec::new();
-    let mut pos = SEGMENT_MAGIC.len();
-    let mut torn = false;
-    while pos < bytes.len() {
-        let Some((record, next)) = parse_record(&bytes, pos) else {
-            torn = true;
-            break;
-        };
-        records.push(record);
-        pos = next;
-    }
+    let (records, end) = read_frames(&bytes, SEGMENT_MAGIC.len(), decode_record);
+    let mut torn = end < bytes.len();
     if let Some(meta) = expect {
         if meta.bytes != bytes.len() as u64 || meta.records != records.len() as u64 {
             torn = true;
@@ -597,28 +678,18 @@ pub(crate) fn scan_segment(
     }
     Ok(SegmentScan {
         records,
-        valid_bytes: pos as u64,
+        valid_bytes: end as u64,
         torn,
     })
 }
 
-fn parse_record(bytes: &[u8], pos: usize) -> Option<(ScannedRecord, usize)> {
-    let header = bytes.get(pos..pos + 12)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    let sum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
-    let payload = bytes.get(pos + 12..pos + 12 + len)?;
-    if fnv1a(payload) != sum {
-        return None;
-    }
+fn decode_record(payload: &[u8]) -> Option<ScannedRecord> {
     let mut reader = Reader::new(payload);
     let kind = reader.get_u8("record kind").ok()?;
     let addr = reader.get_u64("record addr").ok()?;
     let key: Arc<[u8]> = Arc::from(reader.get_bytes("record key").ok()?);
     let value: Arc<[u8]> = Arc::from(reader.get_bytes("record value").ok()?);
-    if !reader.is_exhausted() {
-        return None;
-    }
-    Some(((kind, addr, key, value), pos + 12 + len))
+    reader.is_exhausted().then_some((kind, addr, key, value))
 }
 
 #[cfg(test)]
@@ -696,6 +767,121 @@ mod tests {
         let store = ArtifactStore::open(&dir).unwrap();
         assert_eq!(store.get(kind::CASE, 3, b"k").as_deref(), Some(&b"v"[..]));
         drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn seals_append_to_the_manifest_in_place() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = temp_dir("append");
+        let inode = || fs::metadata(dir.join(MANIFEST_NAME)).unwrap().ino();
+        let put = |store: &ArtifactStore, i: u64| {
+            let key = format!("key-{i}").into_bytes();
+            store.put(kind::CASE, fnv1a(&key), &key, b"v").unwrap();
+            store.flush().unwrap();
+        };
+        let store = ArtifactStore::open(&dir).unwrap();
+        put(&store, 0);
+        let first = inode();
+        for i in 1..4 {
+            put(&store, i);
+            assert_eq!(inode(), first, "seal {i} appends instead of renaming");
+        }
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.open_report().pristine(), "{:?}", store.open_report());
+        put(&store, 4);
+        assert_eq!(inode(), first, "a reopened store appends too");
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert_eq!((store.stats().records, store.stats().segments), (5, 5));
+        for i in 0..5 {
+            let key = format!("key-{i}").into_bytes();
+            assert!(store.get(kind::CASE, fnv1a(&key), &key).is_some(), "{i}");
+        }
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_rewrites_the_manifest_on_the_next_seal() {
+        let dir = temp_dir("failed-append");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(kind::CASE, 1, b"first", b"1").unwrap();
+        store.flush().unwrap();
+        store.put(kind::CASE, 2, b"second", b"2").unwrap();
+        // An append never creates the manifest, so this one fails.
+        fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
+        assert!(store.flush().is_err(), "the append finds no manifest");
+        assert_eq!(store.stats().pending, 1);
+        // The retry writes the whole manifest, listing both seals.
+        store.flush().unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.pending, stats.segments), (0, 2));
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.open_report().pristine(), "{:?}", store.open_report());
+        assert_eq!(
+            store.get(kind::CASE, 1, b"first").as_deref(),
+            Some(&b"1"[..])
+        );
+        assert_eq!(
+            store.get(kind::CASE, 2, b"second").as_deref(),
+            Some(&b"2"[..])
+        );
+        drop(store);
+        // The failed append's segment was never listed.
+        assert_eq!(crate::check(&dir).unwrap().orphans.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_manifest_tail_is_truncated_and_its_segment_orphaned() {
+        let dir = temp_dir("torn-manifest");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.put(kind::CASE, 1, b"first", b"1").unwrap();
+        store.flush().unwrap();
+        store.put(kind::CASE, 2, b"second", b"2").unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let path = dir.join(MANIFEST_NAME);
+        let full = fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(full - 3).unwrap();
+        drop(file);
+
+        let store = ArtifactStore::open(&dir).unwrap();
+        let report = store.open_report().clone();
+        // Two equal frames after the magic; the first one is kept.
+        let kept = fs::metadata(&path).unwrap().len();
+        assert_eq!(kept, 8 + (full - 8) / 2);
+        assert_eq!(report.truncated_manifest_bytes, full - 3 - kept);
+        assert_eq!((report.segments, report.records), (1, 1));
+        assert!(store.get(kind::CASE, 2, b"second").is_none());
+        // The next seal takes the orphan's name and appends after the
+        // truncated prefix.
+        store.put(kind::CASE, 2, b"second", b"2").unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.open_report().pristine(), "{:?}", store.open_report());
+        assert_eq!(store.stats().records, 2);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_retired_manifest_format_is_refused_by_name() {
+        let dir = temp_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        let mut old = RETIRED_MANIFEST_MAGIC.to_vec();
+        old.extend_from_slice(&[0; 12]);
+        fs::write(dir.join(MANIFEST_NAME), old).unwrap();
+        match ArtifactStore::open(&dir) {
+            Err(StoreError::Corrupt(what)) => assert!(what.contains("VVSMAN01"), "{what}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

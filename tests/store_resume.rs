@@ -15,7 +15,12 @@
 //! 3. **Torn-segment resume** — the same, after the interrupted run's
 //!    last sealed segment is torn mid-record: the lost records simply
 //!    re-validate, and the store fscks clean afterwards;
-//! 4. **Warm re-run** — re-running a completed campaign validates zero
+//! 4. **Torn-manifest sweep** — the interrupted run's manifest cut at
+//!    every byte offset of its final frame (a seal whose append never
+//!    completed): open keeps every earlier segment, fsck reports the
+//!    unlisted one as an orphan, and the resumed campaign is again
+//!    byte-identical to the uninterrupted and plain runs;
+//! 5. **Warm re-run** — re-running a completed campaign validates zero
 //!    fresh cases, exactly as the delta planner predicts.
 //!
 //! No campaign leaves anything but the store in its directory.
@@ -26,7 +31,7 @@
 
 use std::path::{Path, PathBuf};
 
-use llm4vv::campaign::{run_campaign, ScenarioMatrix};
+use llm4vv::campaign::{run_campaign, CampaignResults, ScenarioMatrix};
 use llm4vv::incremental::{
     plan_campaign_delta, run_incremental_campaign, stage_stats, IncrementalCampaign,
 };
@@ -78,40 +83,50 @@ fn assert_no_journal(dir: &Path) {
     }
 }
 
-/// Byte offsets at which each record of a sealed segment starts, walking
-/// the documented format: 8-byte magic, then records of
+/// Byte offsets at which each frame of a segment or the manifest starts,
+/// walking the documented format: 8-byte magic, then frames of
 /// `len: u32 | checksum: u64 | payload`.
-fn record_starts(segment: &[u8]) -> Vec<usize> {
+fn frame_starts(file: &[u8]) -> Vec<usize> {
     let mut starts = Vec::new();
     let mut pos = 8usize;
-    while pos < segment.len() {
+    while pos < file.len() {
         starts.push(pos);
-        let len =
-            u32::from_le_bytes(segment[pos..pos + 4].try_into().expect("len prefix")) as usize;
+        let len = u32::from_le_bytes(file[pos..pos + 4].try_into().expect("len prefix")) as usize;
         pos += 12 + len;
     }
-    assert_eq!(pos, segment.len(), "segment walk consumed the whole file");
+    assert_eq!(pos, file.len(), "frame walk consumed the whole file");
     starts
 }
 
-/// A resumed campaign agrees with an uninterrupted incremental run into a
-/// fresh store (`ref_tag` names its directory) and with the plain
-/// in-memory campaign, scenario by scenario.
-fn assert_identical_to_uninterrupted_and_plain(
-    matrix: &ScenarioMatrix,
-    resumed: &IncrementalCampaign,
-    ref_tag: &str,
-) {
+/// What every resumed campaign must equal: an uninterrupted incremental
+/// run into a fresh store (`ref_tag` names its directory) and the plain
+/// in-memory campaign.
+struct Reference {
+    uninterrupted: IncrementalCampaign,
+    plain: CampaignResults,
+}
+
+fn reference(matrix: &ScenarioMatrix, ref_tag: &str) -> Reference {
     let ref_dir = temp_dir(ref_tag);
     let uninterrupted = run_incremental_campaign(matrix, &ref_dir, None).expect("baseline");
     assert!(uninterrupted.completed);
-    let plain = run_campaign(matrix);
+    assert_fsck_clean(&ref_dir);
+    std::fs::remove_dir_all(&ref_dir).expect("cleanup");
+    Reference {
+        uninterrupted,
+        plain: run_campaign(matrix),
+    }
+}
+
+/// A resumed campaign agrees with the reference runs, scenario by
+/// scenario.
+fn assert_identical_to_reference(resumed: &IncrementalCampaign, reference: &Reference) {
     for ((resumed, baseline), plain) in resumed
         .results
         .scenarios
         .iter()
-        .zip(&uninterrupted.results.scenarios)
-        .zip(&plain.scenarios)
+        .zip(&reference.uninterrupted.results.scenarios)
+        .zip(&reference.plain.scenarios)
     {
         for other in [baseline, plain] {
             assert_eq!(resumed.judge, other.judge);
@@ -120,8 +135,23 @@ fn assert_identical_to_uninterrupted_and_plain(
             assert_eq!(stage_stats(&resumed.stats), stage_stats(&other.stats));
         }
     }
-    assert_fsck_clean(&ref_dir);
-    std::fs::remove_dir_all(&ref_dir).expect("cleanup");
+}
+
+/// Copy every file of `from` into the fresh directory `to`.
+fn copy_store(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy");
+    }
+}
+
+/// Cut `path` to its first `len` bytes, as a crash mid-write would.
+fn truncate(path: &Path, len: usize) {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open for truncate");
+    file.set_len(len as u64).expect("truncate");
 }
 
 /// The campaign store fscks clean and holds no journal.
@@ -159,21 +189,12 @@ fn segment_quarantines_only_the_record_torn_at_every_offset() {
         .expect("one sealed segment");
 
     let bytes = std::fs::read(&segment).expect("read segment");
-    let last_record_start = *record_starts(&bytes).last().expect("records");
+    let last_record_start = *frame_starts(&bytes).last().expect("records");
 
     for cut in last_record_start..bytes.len() {
         let dir = temp_dir("segment-sweep");
-        for entry in std::fs::read_dir(&master).expect("read dir") {
-            let entry = entry.expect("entry");
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy");
-        }
-        let torn = dir.join(segment.file_name().expect("name"));
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&torn)
-            .expect("open for truncate");
-        file.set_len(cut as u64).expect("truncate");
-        drop(file);
+        copy_store(&master, &dir);
+        truncate(&dir.join(segment.file_name().expect("name")), cut);
 
         let store = ArtifactStore::open(&dir).expect("reopen torn store");
         let report = store.open_report();
@@ -222,7 +243,7 @@ fn interrupted_resumed_campaign_is_byte_identical_to_uninterrupted_and_plain() {
         "every case the interrupted run covered is reused from the store"
     );
 
-    assert_identical_to_uninterrupted_and_plain(&matrix, &resumed, "resume-ref");
+    assert_identical_to_reference(&resumed, &reference(&matrix, "resume-ref"));
     assert_fsck_clean(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -247,7 +268,7 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
         .max()
         .expect("a sealed segment");
     let bytes = std::fs::read(&segment).expect("read segment");
-    let starts = record_starts(&bytes);
+    let starts = frame_starts(&bytes);
     let torn = starts.len() / 2;
     let lost_cases = starts[torn..]
         .iter()
@@ -255,12 +276,7 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
         .count();
     assert!(lost_cases > 0, "the tear loses case records");
     let cut = (starts[torn] + starts.get(torn + 1).copied().unwrap_or(bytes.len())) / 2;
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&segment)
-        .expect("open for truncate");
-    file.set_len(cut as u64).expect("truncate");
-    drop(file);
+    truncate(&segment, cut);
     assert!(!check(&dir).expect("fsck").clean(), "the tear is visible");
 
     let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
@@ -268,9 +284,61 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
     assert_eq!(resumed.total_fresh() + resumed.total_reused(), total);
     assert!(resumed.total_reused() > 0, "the intact records are reused");
 
-    assert_identical_to_uninterrupted_and_plain(&matrix, &resumed, "torn-resume-ref");
+    assert_identical_to_reference(&resumed, &reference(&matrix, "torn-resume-ref"));
     assert_fsck_clean(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically() {
+    let matrix = campaign_matrix();
+    let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
+    let master = temp_dir("manifest-master");
+    let partial = run_incremental_campaign(&matrix, &master, Some(total / 3)).expect("partial");
+    assert!(!partial.completed, "the budget interrupts mid-campaign");
+    let manifest = std::fs::read(master.join("manifest.vvs")).expect("read manifest");
+    let frames = frame_starts(&manifest);
+    assert!(
+        frames.len() >= 2,
+        "the interrupted run sealed several segments"
+    );
+    let last_frame_start = *frames.last().expect("frames");
+    let reference = reference(&matrix, "manifest-sweep-ref");
+
+    for cut in last_frame_start..manifest.len() {
+        let dir = temp_dir("manifest-sweep");
+        copy_store(&master, &dir);
+        truncate(&dir.join("manifest.vvs"), cut);
+
+        let fsck = check(&dir).expect("fsck");
+        assert_eq!(
+            fsck.torn.len(),
+            usize::from(cut > last_frame_start),
+            "cut at {cut}: a partial frame is damage:\n{fsck}"
+        );
+        assert_eq!(fsck.segments_ok, frames.len() - 1, "cut at {cut}");
+        assert_eq!(fsck.orphans.len(), 1, "cut at {cut}: the unlisted segment");
+
+        let store = ArtifactStore::open(&dir).expect("reopen torn store");
+        let report = store.open_report();
+        assert_eq!(report.segments, frames.len() - 1, "cut at {cut}");
+        assert_eq!(report.quarantined_records, 0, "cut at {cut}");
+        assert_eq!(
+            report.truncated_manifest_bytes,
+            (cut - last_frame_start) as u64,
+            "cut at {cut}"
+        );
+        drop(store);
+
+        let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
+        assert!(resumed.completed);
+        assert_eq!(resumed.total_fresh() + resumed.total_reused(), total);
+        assert_identical_to_reference(&resumed, &reference);
+        // The resumed run's first seal took the orphan's name.
+        assert_fsck_clean(&dir);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+    std::fs::remove_dir_all(&master).expect("cleanup");
 }
 
 #[test]
