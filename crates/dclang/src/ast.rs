@@ -303,40 +303,39 @@ impl Expr {
         }
     }
 
-    /// Walk all identifiers referenced by this expression.
-    pub fn visit_idents<'a>(&'a self, f: &mut dyn FnMut(&'a str, Span)) {
+    /// Visit this expression and all nested expressions in source order.
+    pub fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Ident(name, span) => f(name, *span),
-            Expr::Unary { expr, .. } => expr.visit_idents(f),
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr.visit(f),
+            Expr::Postfix { target, .. } => target.visit(f),
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.visit_idents(f);
-                rhs.visit_idents(f);
+                lhs.visit(f);
+                rhs.visit(f);
             }
             Expr::Assign { target, value, .. } => {
-                target.visit_idents(f);
-                value.visit_idents(f);
+                target.visit(f);
+                value.visit(f);
             }
             Expr::Call { args, .. } => {
                 for a in args {
-                    a.visit_idents(f);
+                    a.visit(f);
                 }
             }
             Expr::Index { base, index, .. } => {
-                base.visit_idents(f);
-                index.visit_idents(f);
+                base.visit(f);
+                index.visit(f);
             }
-            Expr::Cast { expr, .. } => expr.visit_idents(f),
             Expr::Ternary {
                 cond,
                 then_expr,
                 else_expr,
                 ..
             } => {
-                cond.visit_idents(f);
-                then_expr.visit_idents(f);
-                else_expr.visit_idents(f);
+                cond.visit(f);
+                then_expr.visit(f);
+                else_expr.visit(f);
             }
-            Expr::Postfix { target, .. } => target.visit_idents(f),
             _ => {}
         }
     }
@@ -594,7 +593,11 @@ mod tests {
             span,
         };
         let mut seen = Vec::new();
-        expr.visit_idents(&mut |name, _| seen.push(name.to_string()));
+        expr.visit(&mut |e| {
+            if let Expr::Ident(name, _) = e {
+                seen.push(name.to_string());
+            }
+        });
         assert_eq!(seen, vec!["a", "b", "i"]);
     }
 

@@ -14,6 +14,13 @@ use crate::lexer::LexOutput;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
+/// The deepest nesting of statements and operands a unit may reach (each
+/// pair of parentheses, unary operator and operator-chain link counts).
+/// Every later pass recurses once per level, so deeper input must fail to
+/// compile rather than overflow the stack; at this limit a debug build
+/// still compiles and runs the deepest shapes on a 2 MiB thread.
+pub const MAX_NESTING: usize = 128;
+
 /// Result of a successful parse.
 #[derive(Clone, Debug)]
 pub struct ParseOutput {
@@ -21,6 +28,8 @@ pub struct ParseOutput {
     pub unit: TranslationUnit,
     /// Non-fatal diagnostics (warnings/notes) collected while parsing.
     pub diagnostics: Vec<Diagnostic>,
+    /// The deepest nesting level the unit reached, at most [`MAX_NESTING`].
+    pub nesting: usize,
 }
 
 /// The parser. Construct with [`Parser::new`] from a [`LexOutput`] and the
@@ -32,6 +41,10 @@ pub struct Parser<'i> {
     defines: Vec<(String, String)>,
     diagnostics: Vec<Diagnostic>,
     interner: &'i Interner,
+    /// Nesting level of the node being parsed (see [`MAX_NESTING`]), and
+    /// the deepest level reached inside it so far.
+    depth: usize,
+    peak: usize,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
@@ -46,6 +59,8 @@ impl<'i> Parser<'i> {
             defines: lexed.defines,
             diagnostics: lexed.diagnostics,
             interner,
+            depth: 0,
+            peak: 0,
         }
     }
 
@@ -61,6 +76,7 @@ impl<'i> Parser<'i> {
                     .into_iter()
                     .filter(|d| !d.is_error())
                     .collect(),
+                nesting: self.peak,
             }),
             Err(fatal) => {
                 let mut diags = self.diagnostics;
@@ -221,6 +237,30 @@ impl<'i> Parser<'i> {
 
     fn peek_starts_type(&self) -> bool {
         matches!(&self.peek().kind, TokenKind::Keyword(k) if k.starts_type())
+    }
+
+    /// Parse one nested node with `parse`, one level below the current one.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        self.depth += 1;
+        let node = self.link().and_then(|()| parse(self));
+        self.depth -= 1;
+        self.peak = self.peak.max(outer);
+        node
+    }
+
+    /// One level deeper: a nested node, or a chain link (`a + b`, `a[i]`,
+    /// `a++`), which moves everything parsed so far in the open node down.
+    fn link(&mut self) -> PResult<()> {
+        self.peak += 1;
+        if self.peak <= MAX_NESTING {
+            return Ok(());
+        }
+        Err(Diagnostic::error(
+            self.peek().span,
+            "nesting",
+            format!("statements and expressions nest deeper than {MAX_NESTING} levels"),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -423,6 +463,10 @@ impl<'i> Parser<'i> {
     }
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> PResult<Stmt> {
         let tok = *self.peek();
         match tok.kind {
             TokenKind::Punct(Punct::LBrace) => Ok(Stmt::Block(self.parse_block()?)),
@@ -597,6 +641,10 @@ impl<'i> Parser<'i> {
     }
 
     fn parse_assignment_expr(&mut self) -> PResult<Expr> {
+        self.nested(Self::parse_assignment_here)
+    }
+
+    fn parse_assignment_here(&mut self) -> PResult<Expr> {
         let lhs = self.parse_ternary()?;
         let op = match &self.peek().kind {
             TokenKind::Punct(Punct::Assign) => Some(AssignOp::Assign),
@@ -670,8 +718,9 @@ impl<'i> Parser<'i> {
     fn parse_binary(&mut self, min_level: u8) -> PResult<Expr> {
         let mut lhs = self.parse_unary()?;
         while let Some((op, level)) = self.binary_op_for(min_level) {
+            self.link()?;
             let span = self.bump().span;
-            let rhs = self.parse_binary(level + 1)?;
+            let rhs = self.nested(|p| p.parse_binary(level + 1))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -683,6 +732,10 @@ impl<'i> Parser<'i> {
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
+        self.nested(Self::parse_unary_here)
+    }
+
+    fn parse_unary_here(&mut self) -> PResult<Expr> {
         let tok = *self.peek();
         let op = match &tok.kind {
             TokenKind::Punct(Punct::Minus) => Some(UnOp::Neg),
@@ -731,6 +784,7 @@ impl<'i> Parser<'i> {
         let mut expr = self.parse_primary()?;
         loop {
             if self.check_punct(Punct::LBracket) {
+                self.link()?;
                 let span = self.bump().span;
                 let index = self.parse_expr()?;
                 self.expect_punct(Punct::RBracket, "to close the subscript")?;
@@ -763,6 +817,7 @@ impl<'i> Parser<'i> {
                 self.expect_punct(Punct::RParen, "to close the call")?;
                 expr = Expr::Call { name, args, span };
             } else if self.check_punct(Punct::PlusPlus) {
+                self.link()?;
                 let span = self.bump().span;
                 expr = Expr::Postfix {
                     target: Box::new(expr),
@@ -770,6 +825,7 @@ impl<'i> Parser<'i> {
                     span,
                 };
             } else if self.check_punct(Punct::MinusMinus) {
+                self.link()?;
                 let span = self.bump().span;
                 expr = Expr::Postfix {
                     target: Box::new(expr),
@@ -1034,5 +1090,29 @@ mod tests {
         assert_eq!(directives.len(), 2);
         assert_eq!(directives[0].display_name(), "declare target");
         assert_eq!(directives[1].display_name(), "target");
+    }
+
+    #[test]
+    fn nesting_is_measured_and_capped() {
+        let nesting = |src: &str| {
+            let mut interner = Interner::new();
+            let lexed = lex_with(src, &mut interner);
+            Parser::new(lexed, &interner).parse().map(|out| out.nesting)
+        };
+        // Statement, expression, operand; each operator link wraps the
+        // operands parsed before it one level deeper.
+        assert_eq!(nesting("int main() { return 1; }").unwrap(), 3);
+        assert_eq!(nesting("int main() { return 1 + 1 + 1; }").unwrap(), 5);
+        let at_limit = format!(
+            "int main() {{ return 1{}; }}",
+            " + 1".repeat(MAX_NESTING - 3)
+        );
+        assert_eq!(nesting(&at_limit).unwrap(), MAX_NESTING);
+        let past_limit = format!(
+            "int main() {{ return 1{}; }}",
+            " + 1".repeat(MAX_NESTING - 2)
+        );
+        let diags = nesting(&past_limit).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == "nesting"), "{diags:?}");
     }
 }

@@ -54,24 +54,30 @@ impl Stages {
         leases: &mut Leases,
         stats: &mut PipelineStats,
     ) -> CaseRecord {
-        let Some(store) = &self.record_store else {
-            return self.validate(item, leases, stats);
-        };
-        if let Some(record) = store.lookup(item) {
-            stats.store_hits += 1;
-            // Replay the stored stages into the aggregates, so hit-heavy
-            // runs report the same stage counters as cold ones.
-            stats.observe_record(&record);
-            return record;
+        let store = self.record_store.as_deref();
+        if let Some(store) = store {
+            if let Some(record) = store.lookup(item) {
+                stats.store_hits += 1;
+                // Replay the stored stages into the aggregates, so hit-heavy
+                // runs report the same stage counters as cold ones.
+                stats.observe_record(&record);
+                return record;
+            }
+            stats.store_misses += 1;
         }
-        stats.store_misses += 1;
         let record = self.validate(item, leases, stats);
-        store.persist(item, &record);
+        // The stage counters follow from the record alone, exactly as for
+        // a replayed one.
+        stats.observe_record(&record);
+        if let Some(store) = store {
+            store.persist(item, &record);
+        }
         record
     }
 
-    /// Compile, execute and judge `item`. Under early exit a case stops at
-    /// the first stage that fails.
+    /// Compile, execute and judge `item`, counting only where the compile
+    /// came from. Under early exit a case stops at the first stage that
+    /// fails.
     fn validate(
         &self,
         item: &WorkItem,
@@ -85,10 +91,6 @@ impl Stages {
             signals,
             fetch,
         } = self.compile(item, leases);
-        stats.compiled += 1;
-        if !compile.succeeded {
-            stats.compile_failures += 1;
-        }
         match fetch {
             Some(CompileFetch::Fresh) => stats.compile_cache_misses += 1,
             Some(_) => stats.compile_cache_hits += 1,
@@ -107,28 +109,16 @@ impl Stages {
         record.exec = artifact
             .as_ref()
             .map(|program| self.exec.execute(item, program));
-        if let Some(exec) = &record.exec {
-            stats.executed += 1;
-            if !exec.passed {
-                stats.exec_failures += 1;
-            }
-        }
         if early_exit && !record.exec.as_ref().is_some_and(|e| e.passed) {
             return record;
         }
 
-        let judgement = self.judge.judge(
+        record.judgement = Some(self.judge.judge(
             item,
             &record.compile,
             record.exec.as_ref(),
             signals.as_deref(),
-        );
-        stats.judged += 1;
-        stats.observe_judge_latency_ms(judgement.latency_ms);
-        if !judgement.verdict_or_invalid().is_valid() {
-            stats.judge_rejections += 1;
-        }
-        record.judgement = Some(judgement);
+        ));
         record
     }
 

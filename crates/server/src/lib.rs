@@ -8,10 +8,10 @@
 //! it over a hand-rolled binary protocol, so campaigns from many clients
 //! reuse warm state instead of paying cold-start per run.
 //!
-//! * [`server`] — the daemon: per-tenant bounded queues (admission
-//!   control + backpressure), fair round-robin scheduling onto a worker
-//!   pool, cancellation on client disconnect, graceful drain + store seal
-//!   on shutdown.
+//! * [`server`] — the daemon: one dispatch state holding per-tenant
+//!   bounded queues (admission control + backpressure) and fair
+//!   round-robin scheduling onto a worker pool, cancellation on client
+//!   disconnect, graceful drain + store seal on shutdown.
 //! * [`client`] — the library client: blocking streaming-results
 //!   iterator, campaign submission, stats and shutdown requests.
 //! * [`transport`] — the byte-stream abstraction: TCP, or an in-process
@@ -111,7 +111,8 @@
 //! buffers fill, and the backpressure propagates into the client's
 //! feeder thread: the bounded-channel discipline of the pipeline,
 //! stretched over the wire. Workers pick cases round-robin across
-//! tenants, so a tenant flooding its queue delays itself, not others.
+//! tenants, starting after the tenant served last, so a tenant flooding
+//! its queue delays itself, not others.
 //!
 //! A client that disconnects mid-campaign cancels its own jobs: queued
 //! cases are purged, in-flight cases finish but are discarded, and no
@@ -129,7 +130,6 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod stats;
-pub mod tenant;
 pub mod transport;
 
 pub use client::{Client, ClientError, Job};

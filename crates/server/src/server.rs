@@ -10,11 +10,15 @@
 //!
 //! * each connection gets a detached **reader thread** that decodes
 //!   frames and feeds its tenant's bounded queue (blocking there *is*
-//!   the backpressure — see [`crate::tenant`]);
-//! * a fixed **worker pool** pulls cases round-robin across tenants and
-//!   runs [`ValidationService::process_case`], so per-case results are
+//!   the backpressure);
+//! * a fixed **worker pool** pulls cases round-robin across tenants,
+//!   within each tenant's in-flight budget, and runs
+//!   [`ValidationService::process_case`], so per-case results are
 //!   byte-identical to a direct in-process run (worker-count parity and
 //!   store-replay laws);
+//! * one **dispatch state** (`Dispatch`) holds every tenant queue, the
+//!   round-robin cursor, the in-flight counts and the drain count behind
+//!   one mutex, and every change to it wakes its waiters under that mutex;
 //! * results stream back through a per-connection writer; a dead
 //!   connection cancels that client's jobs (queued cases purged,
 //!   in-flight results discarded) without touching other tenants;
@@ -24,12 +28,12 @@
 //!   (an [`ErrorCode::Store`] answer, or the handle's `Err`), never
 //!   acknowledged as success.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -42,8 +46,7 @@ use vv_store::{ArtifactStore, StoreError};
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, JobSpec, Request, Response, PROTOCOL_VERSION,
 };
-use crate::stats::{CacheSnapshot, ServerStats, StoreSnapshot};
-use crate::tenant::Tenant;
+use crate::stats::{CacheSnapshot, ServerStats, StoreSnapshot, TenantSnapshot};
 use crate::transport::{duplex, Conn, PipeEnd};
 
 /// Tuning knobs for a [`Server`].
@@ -78,15 +81,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// One case waiting in a tenant queue.
-struct QueuedCase {
-    job: Arc<JobState>,
-    seq: u64,
-    item: WorkItem,
-}
-
-type TenantQueue = Tenant<QueuedCase>;
 
 /// The per-connection response writer: serializes frames from the
 /// worker pool and the reader thread onto one stream, and remembers the
@@ -124,7 +118,8 @@ impl ConnWriter {
 /// Server-side state of one open campaign job.
 struct JobState {
     id: u32,
-    tenant: Arc<TenantQueue>,
+    /// The job's tenant: an index into the dispatch state's tenants.
+    tenant: usize,
     service: Arc<ValidationService>,
     writer: Arc<ConnWriter>,
     stats: Mutex<PipelineStats>,
@@ -144,7 +139,7 @@ struct JobState {
 impl JobState {
     /// Send `JOB_DONE` exactly once, when the job has ended and every
     /// accepted case is accounted for.
-    fn maybe_done(&self) {
+    fn maybe_done(&self, dispatch: &Dispatch<Queued>) {
         if !self.ended.load(Ordering::Acquire) {
             return;
         }
@@ -154,7 +149,7 @@ impl JobState {
         if self.done_sent.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.tenant.note_job_finished();
+        dispatch.lock().tenants[self.tenant].row.jobs_finished += 1;
         let mut stats = self.stats.lock().clone();
         stats.wall_time = self.started.elapsed();
         self.writer.send(&Response::JobDone {
@@ -170,75 +165,228 @@ fn cancel_job(inner: &ServerInner, job: &Arc<JobState>) {
         return;
     }
     job.done_sent.store(true, Ordering::Release);
-    let removed = job.tenant.purge(|case| !Arc::ptr_eq(&case.job, job));
-    if removed > 0 {
-        // Purged cases will never reach a worker: account them answered.
-        job.completed.fetch_add(removed as u64, Ordering::AcqRel);
-        inner.cases_answered(removed as u64);
-    }
-    inner.scheduler.notify();
+    let removed = inner
+        .dispatch
+        .purge(job.tenant, |case| !Arc::ptr_eq(&case.job, job));
+    // Purged cases will never reach a worker: account them answered.
+    job.completed.fetch_add(removed as u64, Ordering::AcqRel);
 }
 
-/// Round-robin work distribution across every registered tenant.
-struct Scheduler {
-    state: StdMutex<SchedState>,
-    work: StdCondvar,
+/// One case waiting in its tenant's queue.
+struct Queued {
+    job: Arc<JobState>,
+    seq: u64,
+    item: WorkItem,
 }
 
-struct SchedState {
-    tenants: Vec<Arc<TenantQueue>>,
+/// One tenant's queue and stats row (`row.queued` is filled in by snapshots).
+struct TenantState<T> {
+    queue: VecDeque<T>,
+    row: TenantSnapshot,
+}
+
+/// Everything a dispatch decision reads, behind the [`Dispatch`] mutex.
+struct DispatchState<T> {
+    /// Every tenant ever seen, in order of first `HELLO`.
+    tenants: Vec<TenantState<T>>,
+    /// The tenant a pick tries first: the one after the tenant served last.
     cursor: usize,
-    stopping: bool,
+    /// Cases accepted but not yet answered or purged, counting a case
+    /// whose reader is still blocked on a full queue.
+    pending: u64,
+    stopped: bool,
 }
 
-impl Scheduler {
-    fn new() -> Self {
+impl<T> DispatchState<T> {
+    /// Whether a worker may take `tenant`'s next case now.
+    fn schedulable(&self, tenant: usize, max_in_flight: usize) -> bool {
+        let tenant = &self.tenants[tenant];
+        !tenant.queue.is_empty() && tenant.row.in_flight < max_in_flight as u64
+    }
+
+    /// Claim the next case round-robin, starting after the tenant served
+    /// last and skipping tenants at their in-flight budget.
+    fn pick(&mut self, max_in_flight: usize) -> Option<(usize, T)> {
+        let n = self.tenants.len();
+        let idx = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&idx| self.schedulable(idx, max_in_flight))?;
+        self.cursor = (idx + 1) % n;
+        let tenant = &mut self.tenants[idx];
+        tenant.row.in_flight += 1;
+        tenant.queue.pop_front().map(|case| (idx, case))
+    }
+}
+
+/// The daemon's dispatch: tenant queues, round-robin scheduler and drain
+/// count behind one mutex. Each operation is one critical section that
+/// changes the state and sends its wakeups before it unlocks, so no wakeup
+/// falls between another thread's check and its wait. A full queue blocks
+/// its reader (admission); the in-flight budget caps each tenant's share
+/// of the workers (fairness). Generic so the rules test on plain integers.
+struct Dispatch<T> {
+    state: StdMutex<DispatchState<T>>,
+    /// Workers wait for a schedulable case, readers for queue space,
+    /// drains for `pending` to reach zero.
+    work: StdCondvar,
+    space: StdCondvar,
+    idle: StdCondvar,
+    capacity: usize,
+    max_in_flight: usize,
+}
+
+impl<T> Dispatch<T> {
+    /// An empty dispatch. Both bounds are clamped to at least 1.
+    fn new(capacity: usize, max_in_flight: usize) -> Self {
         Self {
-            state: StdMutex::new(SchedState {
+            state: StdMutex::new(DispatchState {
                 tenants: Vec::new(),
                 cursor: 0,
-                stopping: false,
+                pending: 0,
+                stopped: false,
             }),
             work: StdCondvar::new(),
+            space: StdCondvar::new(),
+            idle: StdCondvar::new(),
+            capacity: capacity.max(1),
+            max_in_flight: max_in_flight.max(1),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    /// Lock the state, recovering from poisoning as the executor's locks do.
+    fn lock(&self) -> MutexGuard<'_, DispatchState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn register(&self, tenant: Arc<TenantQueue>) {
-        self.lock().tenants.push(tenant);
+    /// The tenant named by a `HELLO`, registered on first sight.
+    fn tenant(&self, name: &str) -> usize {
+        let tenants = &mut self.lock().tenants;
+        if let Some(idx) = tenants.iter().position(|t| t.row.name == name) {
+            return idx;
+        }
+        let (queue, mut row) = (VecDeque::new(), TenantSnapshot::default());
+        row.name = name.to_string();
+        tenants.push(TenantState { queue, row });
+        tenants.len() - 1
     }
 
-    /// Wake workers: new case queued, or an in-flight slot freed.
-    fn notify(&self) {
-        self.work.notify_all();
-    }
-
-    fn stop(&self) {
-        self.lock().stopping = true;
-        self.work.notify_all();
-    }
-
-    /// Block until a case is schedulable (fairly, starting after the
-    /// tenant served last) or the scheduler stops.
-    fn next_case(&self) -> Option<QueuedCase> {
+    /// Admit one case, blocking while the tenant's queue is full. This runs
+    /// on the connection's reader thread: blocking here is the
+    /// backpressure. After a stop the case is dropped.
+    fn enqueue(&self, tenant: usize, case: T) {
         let mut state = self.lock();
+        state.pending += 1;
+        while state.tenants[tenant].queue.len() >= self.capacity && !state.stopped {
+            state = self
+                .space
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if state.stopped {
+            return;
+        }
+        let admitted = &mut state.tenants[tenant];
+        admitted.queue.push_back(case);
+        admitted.row.submitted += 1;
+        if state.schedulable(tenant, self.max_in_flight) {
+            self.work.notify_one();
+        }
+    }
+
+    /// Release the in-flight slot of a processed case of `tenant`. The
+    /// slot can make the tenant's next case schedulable.
+    fn finish(&self, tenant: usize) {
+        let mut state = self.lock();
+        let row = &mut state.tenants[tenant].row;
+        row.in_flight -= 1;
+        row.completed += 1;
+        if state.schedulable(tenant, self.max_in_flight) {
+            self.work.notify_one();
+        }
+    }
+
+    /// The worker's step: count the case it finished last answered (when
+    /// `answered`), then block until a case is schedulable and claim it.
+    /// `None` once the dispatch stops.
+    fn next(&self, answered: bool) -> Option<T> {
+        let mut state = self.lock();
+        if answered {
+            state.pending -= 1;
+            if state.pending == 0 {
+                self.idle.notify_all();
+            }
+        }
         loop {
-            if state.stopping {
+            if state.stopped {
                 return None;
             }
-            let n = state.tenants.len();
-            for i in 0..n {
-                let idx = (state.cursor + i) % n;
-                if let Some(case) = state.tenants[idx].next() {
-                    state.cursor = (idx + 1) % n;
-                    return Some(case);
+            if let Some((tenant, case)) = state.pick(self.max_in_flight) {
+                // Only a queue that was full can have a reader waiting.
+                if state.tenants[tenant].queue.len() + 1 >= self.capacity {
+                    self.space.notify_all();
                 }
+                return Some(case);
             }
-            state = self.work.wait(state).unwrap_or_else(|p| p.into_inner());
+            state = self
+                .work
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Drop every queued case of `tenant` that fails `keep`, count them
+    /// cancelled and answered, and return how many were removed.
+    fn purge(&self, tenant: usize, mut keep: impl FnMut(&T) -> bool) -> usize {
+        let mut state = self.lock();
+        let purged = &mut state.tenants[tenant];
+        let before = purged.queue.len();
+        purged.queue.retain(|case| keep(case));
+        let removed = before - purged.queue.len();
+        purged.row.cancelled += removed as u64;
+        state.pending -= removed as u64;
+        if removed > 0 {
+            if state.pending == 0 {
+                self.idle.notify_all();
+            }
+            self.space.notify_all();
+        }
+        removed
+    }
+
+    /// Block until every accepted case has been answered or purged, or the
+    /// dispatch stops.
+    fn wait_idle(&self) {
+        let mut state = self.lock();
+        while state.pending > 0 && !state.stopped {
+            state = self
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Stop for good, waking every waiter.
+    fn stop(&self) {
+        let mut state = self.lock();
+        state.stopped = true;
+        self.work.notify_all();
+        self.space.notify_all();
+        self.idle.notify_all();
+    }
+
+    /// One stats row per tenant, sorted by name.
+    fn snapshot(&self) -> Vec<TenantSnapshot> {
+        let mut rows: Vec<_> = self
+            .lock()
+            .tenants
+            .iter()
+            .map(|t| TenantSnapshot {
+                queued: t.queue.len() as u64,
+                ..t.row.clone()
+            })
+            .collect();
+        rows.sort_by(|a, b| a.name.cmp(&b.name));
+        rows
     }
 }
 
@@ -253,17 +401,11 @@ struct ServerInner {
     /// Warm [`ValidationService`]s pooled by job spec: every job with the
     /// same spec shares interned compile sessions and judge state.
     services: Mutex<HashMap<SpecKey, Arc<ValidationService>>>,
-    tenants: Mutex<HashMap<String, Arc<TenantQueue>>>,
-    scheduler: Scheduler,
+    dispatch: Dispatch<Queued>,
     /// Merged statistics of every case ever served.
     global: Mutex<PipelineStats>,
     started: Instant,
     draining: AtomicBool,
-    stopped: AtomicBool,
-    /// Cases accepted but not yet answered (or purged), across all jobs.
-    pending: StdMutex<u64>,
-    /// Signalled when `pending` hits zero.
-    idle: StdCondvar,
     connections: AtomicU64,
     listen_addr: Mutex<Option<SocketAddr>>,
 }
@@ -275,18 +417,17 @@ impl ServerInner {
             None => None,
         };
         Ok(Self {
+            dispatch: Dispatch::new(
+                config.tenant_queue_capacity,
+                config.max_in_flight_per_tenant,
+            ),
             config,
             cache: CompileCache::shared(),
             store,
             services: Mutex::new(HashMap::new()),
-            tenants: Mutex::new(HashMap::new()),
-            scheduler: Scheduler::new(),
             global: Mutex::new(PipelineStats::default()),
             started: Instant::now(),
             draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            pending: StdMutex::new(0),
-            idle: StdCondvar::new(),
             connections: AtomicU64::new(0),
             listen_addr: Mutex::new(None),
         })
@@ -314,63 +455,12 @@ impl ServerInner {
         }))
     }
 
-    /// The tenant for a `HELLO` name (created and registered with the
-    /// scheduler on first sight).
-    fn tenant_for(&self, name: &str) -> Arc<TenantQueue> {
-        let mut tenants = self.tenants.lock();
-        match tenants.get(name) {
-            Some(tenant) => Arc::clone(tenant),
-            None => {
-                let tenant = Arc::new(Tenant::new(
-                    name,
-                    self.config.tenant_queue_capacity,
-                    self.config.max_in_flight_per_tenant,
-                ));
-                tenants.insert(name.to_string(), Arc::clone(&tenant));
-                self.scheduler.register(Arc::clone(&tenant));
-                tenant
-            }
-        }
-    }
-
-    fn case_accepted(&self) {
-        *self.pending.lock().unwrap_or_else(|p| p.into_inner()) += 1;
-    }
-
-    fn cases_answered(&self, n: u64) {
-        let mut pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
-        *pending -= n;
-        if *pending == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Refuse new jobs from now on.
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Block until every accepted case has been answered or purged.
-    fn wait_drained(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
-        while *pending > 0 {
-            pending = self.idle.wait(pending).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Drain, seal the store, stop the workers and the accept loop. The
-    /// server stops even when the seal fails.
-    fn shutdown(&self) -> Result<(), StoreError> {
-        let sealed = self.drain_and_seal();
-        self.stop();
-        sealed
-    }
-
     /// Drain every accepted case and seal the store, leaving the
     /// listener and workers up.
     fn drain_and_seal(&self) -> Result<(), StoreError> {
-        self.begin_drain();
-        self.wait_drained();
+        // Refuse new jobs from now on.
+        self.draining.store(true, Ordering::SeqCst);
+        self.dispatch.wait_idle();
         let sealed = self.store.as_ref().map_or(Ok(()), |store| store.flush());
         // Drop the warm service pool: those services hold store handles,
         // and releasing them here (rather than at the last Arc drop) lets
@@ -380,8 +470,7 @@ impl ServerInner {
     }
 
     fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-        self.scheduler.stop();
+        self.dispatch.stop();
         // Wake the acceptor out of its blocking accept().
         if let Some(addr) = *self.listen_addr.lock() {
             let _ = TcpStream::connect(addr);
@@ -390,13 +479,6 @@ impl ServerInner {
 
     fn snapshot(&self) -> ServerStats {
         let cache = self.cache.stats();
-        let mut tenants: Vec<_> = self
-            .tenants
-            .lock()
-            .values()
-            .map(|tenant| tenant.snapshot())
-            .collect();
-        tenants.sort_by(|a, b| a.name.cmp(&b.name));
         ServerStats {
             uptime_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
             connections: self.connections.load(Ordering::Relaxed),
@@ -419,14 +501,15 @@ impl ServerInner {
                     misses: stats.misses,
                 }
             }),
-            tenants,
+            tenants: self.dispatch.snapshot(),
         }
     }
 }
 
 /// One validation worker: pull fairly, process, stream the result.
 fn worker_loop(inner: Arc<ServerInner>) {
-    while let Some(case) = inner.scheduler.next_case() {
+    let mut answered = false;
+    while let Some(case) = inner.dispatch.next(answered) {
         let job = case.job;
         if !job.cancelled.load(Ordering::Acquire) {
             let record = job.service.process_case(&case.item, &job.stats);
@@ -446,37 +529,27 @@ fn worker_loop(inner: Arc<ServerInner>) {
                 }
             }
         }
-        job.tenant.case_done();
+        inner.dispatch.finish(job.tenant);
         // Order matters: the Record frame is on the wire before the case
-        // counts as completed, so JOB_DONE is always the last frame.
+        // counts as completed, so JOB_DONE is always the last frame. The
+        // drain count drops in the next `next`, after JOB_DONE is sent.
         job.completed.fetch_add(1, Ordering::AcqRel);
-        job.maybe_done();
-        inner.cases_answered(1);
-        // A freed in-flight slot can make this tenant schedulable again.
-        inner.scheduler.notify();
+        job.maybe_done(&inner.dispatch);
+        answered = true;
     }
-}
-
-/// Why a connection's read loop ended.
-enum ConnExit {
-    /// Peer closed, or a protocol violation was answered and the stream
-    /// abandoned.
-    Closed,
-    /// This connection completed a `SHUTDOWN` handshake.
-    Shutdown,
 }
 
 fn handle_connection(inner: Arc<ServerInner>, conn: Box<dyn Conn>) {
     inner.connections.fetch_add(1, Ordering::Relaxed);
-    let _ = serve_connection(&inner, conn);
+    serve_connection(&inner, conn);
     inner.connections.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
-    let writer = match conn.try_clone_conn() {
-        Ok(clone) => Arc::new(ConnWriter::new(clone)),
-        Err(_) => return ConnExit::Closed,
+fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
+    let Ok(clone) = conn.try_clone_conn() else {
+        return;
     };
+    let writer = Arc::new(ConnWriter::new(clone));
     let mut reader = conn;
     let mut buf = Vec::new();
 
@@ -490,17 +563,17 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
     // Handshake: the first frame must be a version-matching HELLO.
     let tenant = match read_request(&mut reader, &mut buf) {
         Some(Request::Hello { protocol, tenant }) if protocol == PROTOCOL_VERSION => {
-            inner.tenant_for(&tenant)
+            inner.dispatch.tenant(&tenant)
         }
         Some(Request::Hello { .. }) => {
             refuse(ErrorCode::Protocol, "protocol version mismatch");
-            return ConnExit::Closed;
+            return;
         }
         Some(_) => {
             refuse(ErrorCode::Protocol, "expected HELLO");
-            return ConnExit::Closed;
+            return;
         }
-        None => return ConnExit::Closed,
+        None => return,
     };
     writer.send(&Response::HelloOk {
         protocol: PROTOCOL_VERSION,
@@ -508,7 +581,6 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
     });
 
     let mut jobs: HashMap<u32, Arc<JobState>> = HashMap::new();
-    let mut exit = ConnExit::Closed;
     while let Some(request) = read_request(&mut reader, &mut buf) {
         match request {
             Request::Hello { .. } => {
@@ -524,12 +596,12 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                     refuse(ErrorCode::Protocol, "job id reused");
                     break;
                 }
-                tenant.note_job_opened();
+                inner.dispatch.lock().tenants[tenant].row.jobs_opened += 1;
                 jobs.insert(
                     job,
                     Arc::new(JobState {
                         id: job,
-                        tenant: Arc::clone(&tenant),
+                        tenant,
                         service: inner.service_for(&spec),
                         writer: Arc::clone(&writer),
                         stats: Mutex::new(PipelineStats::default()),
@@ -553,15 +625,10 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                 }
                 job.submitted.fetch_add(1, Ordering::AcqRel);
                 job.stats.lock().submitted += 1;
-                inner.case_accepted();
+                let job = Arc::clone(job);
                 // This is the admission point: a full tenant queue blocks
                 // here, which stops draining this client's socket.
-                tenant.enqueue(QueuedCase {
-                    job: Arc::clone(job),
-                    seq,
-                    item,
-                });
-                inner.scheduler.notify();
+                inner.dispatch.enqueue(tenant, Queued { job, seq, item });
             }
             Request::FinishJob { job } => {
                 let Some(job) = jobs.get(&job) else {
@@ -569,7 +636,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                     break;
                 };
                 job.ended.store(true, Ordering::Release);
-                job.maybe_done();
+                job.maybe_done(&inner.dispatch);
             }
             Request::Stats => {
                 writer.send(&Response::StatsOk(inner.snapshot()));
@@ -588,7 +655,6 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
                 };
                 writer.send(&response);
                 inner.stop();
-                exit = ConnExit::Shutdown;
                 break;
             }
         }
@@ -603,7 +669,6 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) -> ConnExit {
             cancel_job(inner, job);
         }
     }
-    exit
 }
 
 /// Read and decode one request; `None` ends the connection (clean EOF,
@@ -650,7 +715,7 @@ impl Server {
         let inner = Arc::clone(&server.inner);
         server.acceptor = Some(std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if inner.stopped.load(Ordering::SeqCst) {
+                if inner.dispatch.lock().stopped {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -696,6 +761,10 @@ impl Server {
     /// Block until the server has shut down (via a `SHUTDOWN` request or
     /// a [`ServerHandle`]), then join its threads.
     pub fn join(mut self) {
+        self.join_threads();
+    }
+
+    fn join_threads(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -710,12 +779,7 @@ impl Drop for Server {
         // Best-effort stop for servers dropped without a drain; a drained
         // server's threads are already exiting and join promptly.
         self.inner.stop();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.join_threads();
     }
 }
 
@@ -730,6 +794,67 @@ impl ServerHandle {
     /// to a client `SHUTDOWN` request, minus the acknowledgement frame.
     /// The server stops either way; `Err` reports a failed store seal.
     pub fn shutdown(&self) -> Result<(), StoreError> {
-        self.inner.shutdown()
+        let sealed = self.inner.drain_and_seal();
+        self.inner.stop();
+        sealed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn fifo_order_within_the_budget() {
+        let dispatch = Dispatch::new(8, 2);
+        let t = dispatch.tenant("t");
+        for n in 0..4u32 {
+            dispatch.enqueue(t, n);
+        }
+        assert_eq!(dispatch.next(false), Some(0));
+        assert_eq!(dispatch.next(false), Some(1));
+        // Budget of 2 exhausted: nothing more until a case completes.
+        assert!(dispatch.lock().pick(dispatch.max_in_flight).is_none());
+        dispatch.finish(t);
+        assert_eq!(dispatch.next(true), Some(2));
+        assert_eq!(dispatch.snapshot()[0].submitted, 4);
+    }
+
+    #[test]
+    fn a_full_queue_blocks_the_enqueuer_until_space_frees() {
+        let dispatch = Arc::new(Dispatch::new(2, 8));
+        let t = dispatch.tenant("t");
+        dispatch.enqueue(t, 0u32);
+        dispatch.enqueue(t, 1);
+        let blocked = {
+            let dispatch = Arc::clone(&dispatch);
+            std::thread::spawn(move || dispatch.enqueue(t, 2))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            dispatch.snapshot()[0].queued,
+            2,
+            "third enqueue must be blocked"
+        );
+        assert_eq!(dispatch.lock().pending, 3, "a blocked case already counts");
+        assert_eq!(dispatch.next(false), Some(0));
+        blocked.join().unwrap();
+        assert_eq!(dispatch.snapshot()[0].queued, 2);
+    }
+
+    #[test]
+    fn purge_counts_cancellations_and_frees_space() {
+        let dispatch = Dispatch::new(8, 8);
+        let t = dispatch.tenant("t");
+        for n in 0..6u32 {
+            dispatch.enqueue(t, n);
+        }
+        let removed = dispatch.purge(t, |n| n % 2 == 0);
+        assert_eq!(removed, 3);
+        let row = &dispatch.snapshot()[0];
+        assert_eq!(row.queued, 3);
+        assert_eq!(row.cancelled, 3);
+        assert_eq!(dispatch.lock().pending, 3, "purged cases count answered");
     }
 }

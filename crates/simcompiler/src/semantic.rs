@@ -12,7 +12,10 @@
 //! * variables named in data clauses that are not in scope;
 //! * a handful of warnings (possibly-uninitialized pointers, implicit
 //!   function declarations) that never reject a file but show up in
-//!   `stderr` and therefore in the agent prompt.
+//!   `stderr` and therefore in the agent prompt;
+//! * functions too large for the execution substrate's frames (more than
+//!   `u16::MAX` slots or registers), rejected here so no executor ever
+//!   sees them.
 //!
 //! Name resolution is symbol-based: scopes are sets of interned
 //! [`Symbol`]s resolved against the compile session's [`Interner`], so
@@ -51,6 +54,12 @@ impl SemanticOptions {
         }
     }
 }
+
+/// The most local variables, global variables or registers one function
+/// (or the global initializers) may need. The bytecode VM addresses each
+/// with a `u16`, and call arguments and array dimensions each take a
+/// register, so this bounds them too.
+const MAX_FRAME_SLOTS: usize = u16::MAX as usize;
 
 /// Functions provided by the (simulated) C standard library and runtime.
 pub const KNOWN_LIBRARY_FUNCTIONS: &[&str] = &[
@@ -140,6 +149,9 @@ pub fn analyze_with(
             .collect(),
         uninitialized_pointers: HashSet::new(),
         interner,
+        slots: 0,
+        nodes: 0,
+        registers: 0,
     };
 
     // File-scope directives are validated but have no scope interactions.
@@ -165,6 +177,19 @@ pub fn analyze_with(
     }
     cx.pop_scope();
 
+    // Global initializers lower into one frame: a slot per global and per
+    // identifier read (an undeclared one gets a slot of its own).
+    let (mut slots, mut nodes) = (unit.globals.len(), 0);
+    for global in &unit.globals {
+        for expr in global.array_dims.iter().chain(&global.init) {
+            expr.visit(&mut |e| {
+                nodes += 1;
+                slots += matches!(e, Expr::Ident(..)) as usize;
+            });
+        }
+    }
+    let span = unit.globals.first().map(|g| g.span).unwrap_or_default();
+    cx.check_frame(span, "file scope", slots, 2 * nodes);
     cx.diagnostics
 }
 
@@ -178,6 +203,13 @@ struct Context<'i> {
     /// warning (the compile succeeds; the *runtime* fails).
     uninitialized_pointers: HashSet<Symbol>,
     interner: &'i mut Interner,
+    /// The frame the function being checked needs: a local slot per
+    /// parameter and declarator, and at most two registers per node of
+    /// the expressions one statement evaluates (`nodes` counts the
+    /// statement being checked).
+    slots: usize,
+    nodes: usize,
+    registers: usize,
 }
 
 impl Context<'_> {
@@ -190,6 +222,7 @@ impl Context<'_> {
     }
 
     fn declare(&mut self, decl: &VarDecl) {
+        self.slots += 1;
         let sym = self.interner.intern(&decl.name);
         if let Some(scope) = self.scopes.last() {
             if scope.contains(&sym) {
@@ -235,11 +268,27 @@ impl Context<'_> {
             self.check_directive_spec(directive);
         }
         self.push_scope();
+        (self.slots, self.registers) = (func.params.len(), 0);
         for param in &func.params {
             self.declare_name(&param.name);
         }
         self.check_block_stmts(&func.body.stmts);
         self.pop_scope();
+        let owner = format!("function '{}'", func.name);
+        self.check_frame(func.span, &owner, self.slots, self.registers);
+    }
+
+    /// Reject a frame the bytecode VM cannot address.
+    fn check_frame(&mut self, span: Span, owner: &str, slots: usize, registers: usize) {
+        for (needed, what) in [(slots, "variable slots"), (registers, "registers")] {
+            if needed > MAX_FRAME_SLOTS {
+                self.diagnostics.push(Diagnostic::error(
+                    span,
+                    "frame-limit",
+                    format!("{owner} needs {needed} {what}, over {MAX_FRAME_SLOTS}"),
+                ));
+            }
+        }
     }
 
     fn check_block_stmts(&mut self, stmts: &[Stmt]) {
@@ -249,6 +298,7 @@ impl Context<'_> {
     }
 
     fn check_stmt(&mut self, stmt: &Stmt) {
+        let outer = std::mem::take(&mut self.nodes);
         match stmt {
             Stmt::Decl(decls) => {
                 for decl in decls {
@@ -330,9 +380,13 @@ impl Context<'_> {
             }
             Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty(_) => {}
         }
+        // Nested statements restore `nodes`, so it counts this one's own.
+        self.registers = self.registers.max(2 * self.nodes);
+        self.nodes = outer;
     }
 
     fn check_expr(&mut self, expr: &Expr) {
+        self.nodes += 1;
         match expr {
             Expr::Ident(name, span) => {
                 if !self.is_declared(name) {

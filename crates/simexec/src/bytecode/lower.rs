@@ -148,7 +148,7 @@ impl<'p> Lowerer<'p> {
         self.begin_body(true);
         let globals: Vec<VarDecl> = unit.globals.clone();
         for decl in &globals {
-            self.lower_global_decl(decl);
+            self.lower_decl(decl);
         }
         self.emit_epilogue();
         let global_sym = self.names.intern("<globals>");
@@ -457,7 +457,7 @@ impl<'p> Lowerer<'p> {
         match stmt {
             Stmt::Decl(decls) => {
                 for decl in decls {
-                    self.lower_local_decl(decl);
+                    self.lower_decl(decl);
                 }
             }
             Stmt::Expr(expr) => {
@@ -658,7 +658,10 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn lower_local_decl(&mut self, decl: &VarDecl) {
+    /// Lower one declarator. In global-initializer code `declare` names
+    /// the pre-declared global slot, so globals take this path too (and the
+    /// same oracle charges: initializer evaluation only).
+    fn lower_decl(&mut self, decl: &VarDecl) {
         if !decl.array_dims.is_empty() {
             let base = self.next_reg;
             for dim in &decl.array_dims {
@@ -683,37 +686,6 @@ impl<'p> Lowerer<'p> {
             self.next_reg = r;
         } else {
             let var = self.declare(&decl.name);
-            self.emit(Instr::BindUninit { var });
-        }
-    }
-
-    fn lower_global_decl(&mut self, decl: &VarDecl) {
-        // Same shapes as a local declaration (and the same oracle charges:
-        // initializer evaluation only, no statement charge), but the target
-        // slot was pre-declared.
-        let sym = self.names.intern(&decl.name);
-        let var = VarRef::Global(self.global_slots[&sym]);
-        if !decl.array_dims.is_empty() {
-            let base = self.next_reg;
-            for dim in &decl.array_dims {
-                self.lower_expr(dim);
-            }
-            let ndims = u16::try_from(decl.array_dims.len()).expect("too many dims");
-            self.emit(Instr::ArrayAlloc {
-                dst: base,
-                dims: base,
-                ndims,
-            });
-            self.emit(Instr::StoreVar { var, src: base });
-            self.next_reg = base;
-        } else if let Some(init) = &decl.init {
-            let r = self.lower_expr(init);
-            if let Some(kind) = rt::coerce_kind(&decl.ty) {
-                self.emit(Instr::Coerce { reg: r, kind });
-            }
-            self.emit(Instr::StoreVar { var, src: r });
-            self.next_reg = r;
-        } else {
             self.emit(Instr::BindUninit { var });
         }
     }

@@ -109,4 +109,119 @@ int main() {
         assert_ne!(outcome.return_code, 0);
         assert!(outcome.stderr.to_lowercase().contains("segmentation"));
     }
+
+    /// Run `f` on a thread with the default 2 MiB stack of daemon and
+    /// executor workers, whatever stack the test harness gives its own.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    #[test]
+    fn the_deepest_accepted_nesting_compiles_and_runs_on_a_small_stack() {
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape); 5] = [
+            ("parentheses", |n| {
+                format!(
+                    "int main() {{ int x = 1; return {}x{} - 1; }}",
+                    "(".repeat(n),
+                    ")".repeat(n)
+                )
+            }),
+            ("blocks", |n| {
+                format!(
+                    "int main() {{ int x = 0; {}x = x + 1;{} return x - 1; }}",
+                    "{".repeat(n),
+                    "}".repeat(n)
+                )
+            }),
+            ("unary chain", |n| {
+                format!("int main() {{ return {}0; }}", "!".repeat(2 * n))
+            }),
+            ("operator chain", |n| {
+                format!(
+                    "int main() {{ int x = 0; x = x{}; return x - {n}; }}",
+                    " + 1".repeat(n)
+                )
+            }),
+            ("if chain", |n| {
+                format!(
+                    "int main() {{ {}return 0; return 1; }}",
+                    "if (1) ".repeat(n)
+                )
+            }),
+        ];
+        for (name, shape) in shapes {
+            on_small_stack(move || {
+                let compiler = compiler_for(DirectiveModel::OpenAcc);
+                let compiles = |n: usize| compiler.compile(&shape(n), Lang::C);
+                let mut n = 1;
+                while compiles(n + 1).succeeded() {
+                    n += 1;
+                }
+                let refused = compiles(n + 1);
+                assert!(
+                    refused.diagnostics.iter().any(|d| d.code == "nesting"),
+                    "{name}: depth {} fails for another reason: {}",
+                    n + 1,
+                    refused.stderr
+                );
+                let program = compiles(n).artifact.expect("accepted");
+                let outcome = Executor::default().run(&program);
+                assert_eq!(
+                    outcome.return_code, 0,
+                    "{name} at depth {n}: {}",
+                    outcome.stderr
+                );
+                #[cfg(feature = "treewalk-reference")]
+                {
+                    let oracle = TreeWalkExecutor::default().run(&program);
+                    assert_eq!(
+                        (oracle.return_code, oracle.steps),
+                        (outcome.return_code, outcome.steps)
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_compile_error_not_a_stack_overflow() {
+        let deep = format!(
+            "int main() {{ return {}1{}; }}",
+            "(".repeat(2400),
+            ")".repeat(2400)
+        );
+        let chain = format!("int main() {{ return 0{}; }}", " + 1".repeat(100_000));
+        for source in [deep, chain] {
+            let outcome = on_small_stack(move || {
+                compiler_for(DirectiveModel::OpenMp).compile(&source, Lang::C)
+            });
+            assert!(!outcome.succeeded());
+            assert!(outcome.diagnostics.iter().any(|d| d.code == "nesting"));
+        }
+    }
+
+    #[test]
+    fn a_function_too_large_for_the_vm_frame_is_a_compile_error() {
+        let locals: String = (0..70_000).map(|i| format!("int v{i}; ")).collect();
+        let args = vec!["1"; 40_000].join(", ");
+        let sources = [
+            format!("int main() {{ {locals}return 0; }}"),
+            format!("int f() {{ return 0; }} int main() {{ return f({args}); }}"),
+            format!(
+                "int g[{}1]; int main() {{ return 0; }}",
+                "1][".repeat(40_000)
+            ),
+        ];
+        for source in sources {
+            let outcome = compiler_for(DirectiveModel::OpenAcc).compile(&source, Lang::C);
+            assert!(!outcome.succeeded(), "{}", outcome.stderr);
+            assert!(outcome.diagnostics.iter().any(|d| d.code == "frame-limit"));
+        }
+    }
 }

@@ -6,7 +6,9 @@
 //!   count n ∈ {1, 2, 4} is byte-identical to the unsharded stream;
 //! * a large generated+probed corpus streams through `submit_source`
 //!   lazily — the tail of the stream is never generated when the consumer
-//!   stops early.
+//!   stops early;
+//! * generated corpora nest far below the parser's nesting limit, so the
+//!   limit never rejects a generated case.
 
 use vv_corpus::{CaseSource, GeneratedCase, RandomCodeSource, TemplateSource};
 use vv_dclang::DirectiveModel;
@@ -159,6 +161,25 @@ fn mixed_sources_compose_and_tag_ground_truth() {
     // 5 from the random-code source, plus however many the prober drew.
     assert!(replaced >= 5);
     assert!(cases.iter().any(|c| c.ground_truth_valid()));
+}
+
+#[test]
+fn generated_corpora_nest_far_below_the_parser_limit() {
+    let mut deepest = 0;
+    for model in MODELS {
+        let probed = probed_spec(model, 400, 77).source();
+        let noise = RandomCodeSource::new(model, 78).take(100);
+        for case in probed.interleave(noise).into_cases() {
+            if let Ok(parsed) = vv_dclang::parse_source(&case.source) {
+                deepest = deepest.max(parsed.nesting);
+            }
+        }
+    }
+    assert!(deepest > 0);
+    assert!(
+        deepest <= vv_dclang::parser::MAX_NESTING / 4,
+        "a generated case nests {deepest} levels deep"
+    );
 }
 
 #[test]

@@ -520,3 +520,89 @@ fn tcp_round_trips_never_wait_on_a_delayed_ack() {
     server.handle().shutdown().expect("store seals");
     server.join();
 }
+
+#[test]
+fn sequential_single_case_jobs_never_wait_for_an_unrelated_wakeup() {
+    // One worker and one case per job: the worker is about to wait each
+    // time the next job's case arrives. A wakeup sent between its scan of
+    // the queues and its wait would leave that case queued until some
+    // unrelated event, so the job would stall past the deadline.
+    const JOBS: u64 = 50;
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let conn = server.connect();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = Client::over(Box::new(conn), "sequential").expect("handshake");
+        for job in 0..JOBS {
+            let items = corpus(DirectiveModel::OpenAcc, 0x5E9 + job, 1);
+            let run = client
+                .submit(JobSpec::default(), items)
+                .expect("submit")
+                .into_run()
+                .expect("job");
+            done_tx.send(run.records.len()).expect("test thread alive");
+        }
+    });
+    for job in 0..JOBS {
+        match done_rx.recv_timeout(DEADLINE) {
+            Ok(records) => assert_eq!(records, 1),
+            Err(_) => panic!("job {job} stalled past {DEADLINE:?}"),
+        }
+    }
+    client.join().expect("client thread");
+    server.handle().shutdown().expect("store seals");
+    server.join();
+}
+
+#[test]
+fn hostile_sources_fail_to_compile_without_harming_the_daemon() {
+    // Nesting deep enough to overflow a worker's stack in any pass that
+    // recurses per level, and more locals than a VM frame can address.
+    // Both must come back as compile failures, not kill a worker.
+    let deep = format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(2400),
+        ")".repeat(2400)
+    );
+    let locals: String = (0..70_000).map(|i| format!("int v{i}; ")).collect();
+    let wide = format!("int main() {{ {locals}return 0; }}");
+    let hostile: Vec<WorkItem> = [deep, wide]
+        .into_iter()
+        .enumerate()
+        .map(|(i, source)| WorkItem {
+            id: format!("hostile-{i}"),
+            source,
+            lang: vv_simcompiler::Lang::C,
+            model: DirectiveModel::OpenAcc,
+        })
+        .collect();
+
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let mut client = Client::over(Box::new(server.connect()), "hostile").expect("handshake");
+    let run = client
+        .submit(JobSpec::default(), hostile)
+        .expect("submit")
+        .into_run()
+        .expect("JOB_DONE for the hostile job");
+    assert_eq!(run.records.len(), 2);
+    for record in &run.records {
+        assert!(!record.compile.succeeded, "{} compiled", record.id);
+    }
+
+    let items = corpus(DirectiveModel::OpenAcc, 0x4057, scale(8, 32));
+    let after = client
+        .submit(JobSpec::default(), items)
+        .expect("submit")
+        .into_run()
+        .expect("a job after the hostile one");
+    assert_eq!(after.records.len(), scale(8, 32));
+
+    drop(client);
+    server.handle().shutdown().expect("store seals");
+    server.join();
+}
