@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use llm4vv::experiment::{run_part_one, run_part_two, PartOneConfig, PartTwoConfig};
+use llm4vv::experiment::{stream_part_one, stream_part_two, PartOneConfig, PartTwoConfig};
 use vv_dclang::DirectiveModel;
 
 fn bench_part_one(c: &mut Criterion) {
@@ -27,7 +27,7 @@ fn bench_part_one(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             let config = PartOneConfig::quick(model, 48);
             b.iter(|| {
-                let results = run_part_one(&config);
+                let results = stream_part_one(&config);
                 criterion::black_box(results.overall())
             });
         });
@@ -48,7 +48,7 @@ fn bench_part_two(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             let config = PartTwoConfig::quick(model, 48);
             b.iter(|| {
-                let results = run_part_two(&config);
+                let results = stream_part_two(&config);
                 criterion::black_box((
                     results.overall(llm4vv::Evaluator::Pipeline1),
                     results.overall(llm4vv::Evaluator::Llmj1),

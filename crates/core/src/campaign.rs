@@ -51,7 +51,7 @@ use vv_probing::{CorpusSpec, IssueKind, ProbeConfig};
 use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
-use crate::experiment::{fold_probed_source, observe_record_all_case};
+use crate::experiment::fold_probed_source;
 
 /// One fully-specified cell of a [`ScenarioMatrix`].
 #[derive(Clone, Debug)]
@@ -340,16 +340,27 @@ impl ScenarioMetrics {
         }
     }
 
-    /// Fold one record-all case into the judge, pipeline and judge-load
-    /// sinks (see [`observe_record_all_case`]).
-    pub(crate) fn observe(&mut self, issue: IssueKind, record: &CaseRecord) {
-        observe_record_all_case(
-            &mut self.judge,
-            &mut self.pipeline,
-            &mut self.judge_load,
-            issue,
-            record,
-        );
+    /// Fold one completed record of a record-all run into the judge sink
+    /// (the judge's own verdict), the pipeline sink (the
+    /// compile/execute/judge-gated verdict) and the judge-load summary.
+    /// The single definition of how a [`CaseRecord`] maps onto evaluation
+    /// metrics, shared by the streaming fold, the store scan and remote
+    /// runs so the paths cannot silently diverge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record carries no judgement (i.e. the run was not in
+    /// record-all mode).
+    pub fn observe(&mut self, issue: IssueKind, record: &CaseRecord) {
+        let judgement = record
+            .judgement
+            .as_ref()
+            .expect("record-all mode judges every file");
+        self.judge
+            .observe_case(issue, Some(judgement.verdict_or_invalid()));
+        self.pipeline
+            .observe_case(issue, Some(record.pipeline_verdict()));
+        self.judge_load.observe(judgement);
     }
 
     /// Absorb another partial fold of the same scenario (a shard, a store

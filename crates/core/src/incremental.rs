@@ -44,7 +44,7 @@ use crate::experiment::fold_probed_source;
 
 /// Fold one stored record into a scenario's accumulators, exactly as the
 /// live fold would have: the scan pass and the streaming path share
-/// [`crate::experiment::observe_record_all_case`] and
+/// [`ScenarioMetrics::observe`] and
 /// [`PipelineStats::observe_record`], so the two histories cannot diverge.
 fn replay_into(metrics: &mut ScenarioMetrics, issue: IssueKind, record: &CaseRecord) {
     metrics.observe(issue, record);

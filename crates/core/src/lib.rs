@@ -3,15 +3,14 @@
 //! This crate ties the substrates together into the experiments the paper
 //! reports:
 //!
-//! * **Part One** ([`experiment::run_part_one`] /
-//!   [`experiment::stream_part_one`]): negative probing of the plain
-//!   (non-agent) judge with the direct-analysis prompt — Tables I–III;
-//! * **Part Two** ([`experiment::run_part_two`] /
-//!   [`experiment::stream_part_two`]): the record-all validation pipeline
-//!   with both agent-based judges (LLMJ 1 / LLMJ 2), from which the
-//!   stand-alone agent-judge results (Tables VII–IX) and the pipeline
-//!   results (Tables IV–VI) are both derived, plus the radar figures
-//!   (Figures 3–6);
+//! * **Part One** ([`experiment::stream_part_one`]): negative probing of
+//!   the plain (non-agent) judge with the direct-analysis prompt — Tables
+//!   I–III;
+//! * **Part Two** ([`experiment::stream_part_two`]): the record-all
+//!   validation pipeline with both agent-based judges (LLMJ 1 / LLMJ 2),
+//!   run as two [`campaign`] scenarios, from which the stand-alone
+//!   agent-judge results (Tables VII–IX) and the pipeline results (Tables
+//!   IV–VI) are both derived, plus the radar figures (Figures 3–6);
 //! * [`campaign`]: the scenario-matrix harness — sweep directive model ×
 //!   prompt style × probe fraction × judge profile in
 //!   one run, every scenario folded into mergeable constant-memory
@@ -27,7 +26,7 @@
 //! * [`reproduce`]: one function per table and figure that renders the
 //!   corresponding output in the paper's layout, from accumulator state.
 //!
-//! The `stream_*` drivers and every campaign scenario compute their
+//! Both experiment drivers and every campaign scenario compute their
 //! metrics without materializing a single record `Vec`: records fold into
 //! `vv_metrics::accumulate` sinks as they complete, and sharded folds
 //! merge byte-identically to unsharded ones.
@@ -35,12 +34,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use llm4vv::experiment::{run_part_one, PartOneConfig};
+//! use llm4vv::experiment::{stream_part_one, PartOneConfig};
 //! use vv_dclang::DirectiveModel;
 //!
 //! let config = PartOneConfig::quick(DirectiveModel::OpenAcc, 24);
-//! let results = run_part_one(&config);
-//! let overall = results.overall();
+//! let metrics = stream_part_one(&config);
+//! let overall = metrics.overall();
 //! assert_eq!(overall.total, 24);
 //! assert!(overall.accuracy >= 0.0 && overall.accuracy <= 1.0);
 //! ```
@@ -53,9 +52,8 @@ pub mod reproduce;
 
 pub use campaign::{run_campaign, CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
 pub use experiment::{
-    run_part_one, run_part_two, stream_part_one, stream_part_two, Evaluator, PartOneConfig,
-    PartOneMetrics, PartOneRecord, PartOneResults, PartTwoConfig, PartTwoMetrics, PartTwoRecord,
-    PartTwoResults,
+    stream_part_one, stream_part_two, Evaluator, PartOneConfig, PartOneMetrics, PartTwoConfig,
+    PartTwoMetrics,
 };
 pub use incremental::{
     plan_campaign_delta, run_incremental_campaign, stage_stats, CampaignDelta, IncrementalCampaign,

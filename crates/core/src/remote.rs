@@ -8,9 +8,8 @@
 //! the [`WorkItem`]s travel — the server validates them under the
 //! scenario's [`JobSpec`] and streams each record back tagged with its
 //! submission ordinal, which pairs it exactly with the locally-parked
-//! issue. The fold itself is the same
-//! [`observe_record_all_case`](crate::experiment::observe_record_all_case)
-//! the local [`run_scenario`](crate::campaign::run_scenario) uses, so a
+//! issue. The fold itself is the same [`ScenarioMetrics::observe`] the
+//! local [`run_scenario`](crate::campaign::run_scenario) uses, so a
 //! remote run produces [`ScenarioMetrics`] that agree with a direct run:
 //! identical judge/pipeline sinks and judge-load summaries, and service
 //! statistics that match under
@@ -93,7 +92,7 @@ pub fn scenario_job_spec(scenario: &Scenario) -> Result<JobSpec, RemoteError> {
 /// locally (parking their [`IssueKind`]s by submission ordinal), streamed
 /// to the server, and every returned record is folded — in completion
 /// order — into the shard's sinks via
-/// [`observe_record_all_case`](crate::experiment::observe_record_all_case).
+/// [`ScenarioMetrics::observe`].
 /// Per-shard service statistics come from the server's `JOB_DONE`
 /// aggregate and merge across shards just like local
 /// [`FoldStats`](crate::experiment::FoldStats) do.

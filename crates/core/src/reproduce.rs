@@ -9,9 +9,7 @@
 //! hundred bytes per evaluator — rather than materialized record sets, so
 //! paper-scale (or far larger) tables render from a constant-memory
 //! [`crate::experiment::stream_part_one`] /
-//! [`crate::experiment::stream_part_two`] run. Batch results convert via
-//! `PartOneResults::metrics()` / `PartTwoResults::metrics()`, a one-shot
-//! fold that yields byte-identical tables.
+//! [`crate::experiment::stream_part_two`] run.
 
 use crate::experiment::{Evaluator, PartOneMetrics, PartTwoMetrics};
 use vv_metrics::{render_overall_table, render_per_issue_table, render_radar_table};
@@ -165,9 +163,7 @@ pub fn figure_6(part_one_omp: &PartOneMetrics, part_two_omp: &PartTwoMetrics) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{
-        run_part_one, run_part_two, stream_part_one, stream_part_two, PartOneConfig, PartTwoConfig,
-    };
+    use crate::experiment::{stream_part_one, stream_part_two, PartOneConfig, PartTwoConfig};
     use vv_dclang::DirectiveModel;
 
     #[test]
@@ -204,20 +200,5 @@ mod tests {
         }
         assert!(artifacts[0].contains("TABLE I"));
         assert!(artifacts[12].contains("FIGURE 6"));
-    }
-
-    #[test]
-    fn batch_results_fold_to_the_same_tables_as_the_streaming_run() {
-        let p1_config = PartOneConfig::quick(DirectiveModel::OpenAcc, 16);
-        assert_eq!(
-            table_1(&stream_part_one(&p1_config)),
-            table_1(&run_part_one(&p1_config).metrics())
-        );
-        let p2_config = PartTwoConfig::quick(DirectiveModel::OpenMp, 16);
-        let streamed = stream_part_two(&p2_config);
-        let folded = run_part_two(&p2_config).metrics();
-        assert_eq!(table_5(&streamed), table_5(&folded));
-        assert_eq!(table_8(&streamed), table_8(&folded));
-        assert_eq!(figure_4(&streamed), figure_4(&folded));
     }
 }

@@ -30,7 +30,7 @@ use vv_dclang::DirectiveModel;
 use vv_simcompiler::Lang;
 
 use crate::features::Feature;
-use crate::{model_prefix, random_code, templates, SuiteConfig, TestCase, TestSuite};
+use crate::{model_prefix, random_code, templates, SuiteConfig, TestCase};
 
 /// The paper's "no issue" id (issue 5): probed but left unchanged.
 pub const NO_ISSUE_ID: u8 = 5;
@@ -473,13 +473,6 @@ pub struct CasesSource {
 pub fn from_cases(cases: Vec<TestCase>) -> CasesSource {
     CasesSource {
         cases: cases.into_iter(),
-    }
-}
-
-impl TestSuite {
-    /// Stream this suite's cases (consuming the suite).
-    pub fn into_source(self) -> CasesSource {
-        from_cases(self.cases)
     }
 }
 

@@ -131,30 +131,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Source spelling of the operator.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Rem => "%",
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Gt => ">",
-            BinOp::Le => "<=",
-            BinOp::Ge => ">=",
-            BinOp::And => "&&",
-            BinOp::Or => "||",
-            BinOp::BitAnd => "&",
-            BinOp::BitOr => "|",
-            BinOp::BitXor => "^",
-            BinOp::Shl => "<<",
-            BinOp::Shr => ">>",
-        }
-    }
-
     /// True for comparison operators (result is a boolean-like int).
     pub fn is_comparison(&self) -> bool {
         matches!(
@@ -176,21 +152,6 @@ pub enum UnOp {
     PreDecr,
 }
 
-impl UnOp {
-    /// Source spelling of the operator.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            UnOp::Neg => "-",
-            UnOp::Not => "!",
-            UnOp::BitNot => "~",
-            UnOp::Deref => "*",
-            UnOp::AddrOf => "&",
-            UnOp::PreIncr => "++",
-            UnOp::PreDecr => "--",
-        }
-    }
-}
-
 /// Assignment operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AssignOp {
@@ -199,19 +160,6 @@ pub enum AssignOp {
     SubAssign,
     MulAssign,
     DivAssign,
-}
-
-impl AssignOp {
-    /// Source spelling of the operator.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AssignOp::Assign => "=",
-            AssignOp::AddAssign => "+=",
-            AssignOp::SubAssign => "-=",
-            AssignOp::MulAssign => "*=",
-            AssignOp::DivAssign => "/=",
-        }
-    }
 }
 
 /// Expressions.

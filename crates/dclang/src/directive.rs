@@ -69,14 +69,6 @@ impl Clause {
         }
     }
 
-    /// Construct a clause with an argument list.
-    pub fn with_args(name: impl Into<String>, args: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            args: Some(args.into()),
-        }
-    }
-
     /// Render the clause back to source text.
     pub fn render(&self) -> String {
         match &self.args {

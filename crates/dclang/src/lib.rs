@@ -12,7 +12,6 @@
 //! * a [`directive`] module that parses `#pragma acc ...` / `#pragma omp ...`
 //!   lines into structured directives and clauses;
 //! * a recursive-descent [`parser`] producing a [`ast::TranslationUnit`];
-//! * a [`printer`] that renders an AST back to compilable source text;
 //! * [`diag`]nostics with line/column information, shared with the simulated
 //!   compilers in `vv-simcompiler`;
 //! * an [`intern`]ing table mapping identifiers and string literals to dense
@@ -29,7 +28,6 @@ pub mod directive;
 pub mod intern;
 pub mod lexer;
 pub mod parser;
-pub mod printer;
 pub mod span;
 pub mod token;
 

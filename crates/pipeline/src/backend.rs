@@ -186,11 +186,6 @@ impl SimCompileBackend {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// The persistent tier, if one is attached.
-    pub fn persistent_cache(&self) -> Option<&Arc<PersistentCache>> {
-        self.persistent.as_ref()
-    }
-
     /// Check a session for `model` out of the pool (building a fresh one
     /// when the pool is empty). Long-lived compile workers lease a session
     /// once and drive it through [`SimCompileBackend::compile_with`] for

@@ -172,11 +172,6 @@ impl CompileOutcome {
     pub fn succeeded(&self) -> bool {
         self.return_code == 0 && self.artifact.is_some()
     }
-
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.is_error()).count()
-    }
 }
 
 /// A simulated compiler frontend.

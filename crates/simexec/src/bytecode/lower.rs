@@ -151,8 +151,7 @@ impl<'p> Lowerer<'p> {
             self.lower_decl(decl);
         }
         self.emit_epilogue();
-        let global_sym = self.names.intern("<globals>");
-        let global_init = self.take_func(global_sym, Vec::new());
+        let global_init = self.take_func(Vec::new());
 
         let mut funcs = Vec::with_capacity(unit.functions.len());
         for func in &unit.functions {
@@ -172,7 +171,6 @@ impl<'p> Lowerer<'p> {
             global_init,
             global_meta: self.global_meta,
             directives: self.directives,
-            names: self.names,
         }
     }
 
@@ -197,8 +195,7 @@ impl<'p> Lowerer<'p> {
         }
         self.emit_epilogue();
         self.pop_scope();
-        let sym = self.names.intern(&func.name);
-        self.take_func(sym, params)
+        self.take_func(params)
     }
 
     /// A function body ends with an implicit `return 0`.
@@ -223,7 +220,7 @@ impl<'p> Lowerer<'p> {
         self.param_count = 0;
     }
 
-    fn take_func(&mut self, name: Symbol, params: Vec<ParamSpec>) -> FuncCode {
+    fn take_func(&mut self, params: Vec<ParamSpec>) -> FuncCode {
         debug_assert_eq!(self.pending_steps, 0, "epilogue flushes pending steps");
         FuncCode {
             code: std::mem::take(&mut self.code),
@@ -231,7 +228,6 @@ impl<'p> Lowerer<'p> {
             slots: u16::try_from(self.slot_meta.len()).expect("too many locals"),
             slot_meta: std::mem::take(&mut self.slot_meta),
             params,
-            name,
         }
     }
 

@@ -27,10 +27,10 @@
 //!   `None` (never bound) and `Some(Uninit)` (declared without initializer)
 //!   are distinct states with distinct semantics, exactly as in the oracle.
 //! * **Interning.** String literals, identifiers and function names are
-//!   interned to `u32` [`Symbol`]s through the [`vv_dclang::Interner`]; the
-//!   constant pool is deduplicated through the same table, and per-name
-//!   garbage salts are precomputed per slot, so the execution loop never
-//!   hashes or compares a string.
+//!   interned to `u32` [`vv_dclang::Symbol`]s while lowering, through a
+//!   [`vv_dclang::Interner`]; the constant pool is deduplicated through the
+//!   same table, and per-name garbage salts are precomputed per slot, so
+//!   the execution loop never hashes or compares a string.
 //! * **Step parity.** The oracle charges one step per statement executed,
 //!   per expression node evaluated, and per loop iteration. Lowering emits
 //!   the same charges as explicit `Step` instructions placed at the
@@ -65,7 +65,7 @@ pub(crate) use vm::run_lowered;
 use crate::memory::MapKind;
 use crate::rt::CoerceKind;
 use crate::value::Value;
-use vv_dclang::{BinOp, Interner, Symbol};
+use vv_dclang::BinOp;
 use vv_simcompiler::Program;
 
 /// A resolved variable reference: local frame slot or global slot.
@@ -330,8 +330,6 @@ pub(crate) struct FuncCode {
     pub slot_meta: Vec<SlotMeta>,
     /// Parameter binding plans, in declaration order.
     pub params: Vec<ParamSpec>,
-    /// The function's interned name (diagnostics only).
-    pub name: Symbol,
 }
 
 /// A [`Program`] lowered to register bytecode — the compile-once /
@@ -344,7 +342,6 @@ pub struct CompiledProgram {
     pub(crate) global_init: FuncCode,
     pub(crate) global_meta: Vec<SlotMeta>,
     pub(crate) directives: Vec<DirectiveOps>,
-    pub(crate) names: Interner,
 }
 
 impl CompiledProgram {
@@ -352,25 +349,6 @@ impl CompiledProgram {
     /// global initialization) — a size proxy for benches and tests.
     pub fn instruction_count(&self) -> usize {
         self.funcs.iter().map(|f| f.code.len()).sum::<usize>() + self.global_init.code.len()
-    }
-
-    /// Number of entries in the deduplicated constant pool.
-    pub fn const_count(&self) -> usize {
-        self.consts.len()
-    }
-
-    /// Number of distinct interned names and string literals.
-    pub fn symbol_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// The lowered functions' names, in definition order (for diagnostics
-    /// and tests).
-    pub fn function_names(&self) -> Vec<&str> {
-        self.funcs
-            .iter()
-            .map(|f| self.names.resolve(f.name))
-            .collect()
     }
 }
 

@@ -77,11 +77,6 @@ impl HostSpace {
         self.allocations.is_empty()
     }
 
-    /// Total number of allocations ever made.
-    pub fn allocation_count(&self) -> usize {
-        self.allocations.len()
-    }
-
     /// Checked access to one cell, shared by the read/write fast paths:
     /// resolves the allocation exactly once (no re-indexing after the
     /// bounds check, which is what the old `check`-then-index pair did).

@@ -6,14 +6,16 @@
 //! cargo run --release --example judge_comparison
 //! ```
 
-use llm4vv::experiment::{run_part_one, run_part_two, Evaluator, PartOneConfig, PartTwoConfig};
+use llm4vv::experiment::{
+    stream_part_one, stream_part_two, Evaluator, PartOneConfig, PartTwoConfig,
+};
 use llm4vv::metrics::render_radar_table;
 use vv_dclang::DirectiveModel;
 
 fn main() {
     for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
-        let part_one = run_part_one(&PartOneConfig::quick(model, 90));
-        let part_two = run_part_two(&PartTwoConfig::quick(model, 90));
+        let part_one = stream_part_one(&PartOneConfig::quick(model, 90));
+        let part_two = stream_part_two(&PartTwoConfig::quick(model, 90));
         let title = format!("Per-category accuracy for {model} (cf. Figures 5/6)");
         println!(
             "{}",

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use llm4vv::experiment::{run_part_two, Evaluator, PartTwoConfig};
+use llm4vv::experiment::{stream_part_two, Evaluator, PartTwoConfig};
 use llm4vv::metrics::{render_overall_table, render_per_issue_table};
 use vv_dclang::DirectiveModel;
 
@@ -18,7 +18,7 @@ fn main() {
         config.suite_size
     );
 
-    let results = run_part_two(&config);
+    let results = stream_part_two(&config);
 
     println!(
         "{}",
