@@ -269,26 +269,6 @@ pub enum Evaluator {
     Pipeline2,
 }
 
-impl Evaluator {
-    /// All evaluators in display order.
-    pub const ALL: [Evaluator; 4] = [
-        Evaluator::Llmj1,
-        Evaluator::Llmj2,
-        Evaluator::Pipeline1,
-        Evaluator::Pipeline2,
-    ];
-
-    /// Display label matching the paper's terminology.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Evaluator::Llmj1 => "LLMJ 1",
-            Evaluator::Llmj2 => "LLMJ 2",
-            Evaluator::Pipeline1 => "Pipeline 1",
-            Evaluator::Pipeline2 => "Pipeline 2",
-        }
-    }
-}
-
 /// Streaming Part Two results: the merged metrics of the two
 /// [`PartTwoConfig::scenarios`], each holding its judge's own verdicts and
 /// the pipeline verdicts that judge gates.
@@ -464,14 +444,5 @@ mod tests {
             );
             assert_eq!(valid, 15, "{}: half the suite stays valid", scenario.label);
         }
-    }
-
-    #[test]
-    fn evaluator_labels_are_distinct() {
-        let labels: Vec<_> = Evaluator::ALL.iter().map(|e| e.label()).collect();
-        let mut deduped = labels.clone();
-        deduped.sort();
-        deduped.dedup();
-        assert_eq!(labels.len(), deduped.len());
     }
 }

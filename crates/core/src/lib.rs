@@ -59,7 +59,7 @@ pub use incremental::{
     plan_campaign_delta, run_incremental_campaign, stage_stats, CampaignDelta, IncrementalCampaign,
     ScenarioDelta, ScenarioProgress,
 };
-pub use remote::{run_campaign_remote, run_scenario_remote, scenario_job_spec, RemoteError};
+pub use remote::{run_scenario_remote, scenario_job_spec, RemoteError};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -32,7 +32,7 @@ use vv_pipeline::{PipelineMode, WorkItem};
 use vv_probing::IssueKind;
 use vv_server::{Client, ClientError, JobSpec, ProfileId, ProtocolError};
 
-use crate::campaign::{CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
+use crate::campaign::{Scenario, ScenarioMetrics};
 
 /// Why a scenario could not be evaluated remotely.
 #[derive(Debug)]
@@ -129,27 +129,10 @@ pub fn run_scenario_remote(
     Ok(merged)
 }
 
-/// Run every scenario of a matrix through one connection, sequentially —
-/// the remote analogue of [`run_campaign`](crate::campaign::run_campaign).
-/// (Scenario-level parallelism belongs to the server's worker pool; a
-/// single tenant submitting jobs back-to-back keeps its queue warm
-/// without competing with itself for fairness slots.)
-pub fn run_campaign_remote(
-    matrix: &ScenarioMatrix,
-    client: &mut Client,
-) -> Result<CampaignResults, RemoteError> {
-    let scenarios = matrix
-        .scenarios()
-        .iter()
-        .map(|scenario| run_scenario_remote(scenario, client))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CampaignResults { scenarios })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_scenario;
+    use crate::campaign::{run_scenario, ScenarioMatrix};
     use crate::incremental::stage_stats;
     use vv_judge::JudgeProfile;
     use vv_pipeline::{encode_record, CaseRecord, CompileSummary};

@@ -27,13 +27,12 @@
 //! Generation is organized around the [`CaseSource`] trait (module
 //! [`source`]): a pull-based stream of [`GeneratedCase`]s that a consumer
 //! drains one case at a time, so corpora of any size flow through in
-//! constant memory. Built-in sources — [`TemplateSource`] (the V&V template
-//! emitters), [`RandomCodeSource`] (plain non-directive programs, the
-//! paper's issue-3 replacement corpus), [`source::CasesSource`] (replay a
-//! materialized suite) — compose through iterator-style adapters:
+//! constant memory. The built-in sources — [`TemplateSource`] (the V&V
+//! template emitters) and [`RandomCodeSource`] (plain non-directive
+//! programs, the paper's issue-3 replacement corpus) — compose through
+//! iterator-style adapters:
 //!
 //! * [`CaseSource::take`] bounds an unbounded generator,
-//! * [`CaseSource::filter_features`] restricts the feature set,
 //! * [`CaseSource::interleave`] merges two streams,
 //! * [`CaseSource::shard`]`(k, n)` selects a reproducible 1/n slice,
 //! * [`CaseSource::inspect`] taps metadata off the stream,
@@ -59,10 +58,6 @@
 //! }
 //! assert_eq!(total, 10);
 //! ```
-//!
-//! (The deprecated batch collector `generate_suite`, a thin wrapper over
-//! [`TemplateSource`], was removed in 0.4.0 after its one-release grace
-//! period; collect from the source directly.)
 
 pub mod features;
 pub mod random_code;
@@ -91,83 +86,6 @@ pub struct TestCase {
     pub source: String,
 }
 
-/// A generated testsuite for one programming model.
-#[derive(Clone, Debug)]
-pub struct TestSuite {
-    /// The programming model shared by all cases.
-    pub model: DirectiveModel,
-    /// The generated cases.
-    pub cases: Vec<TestCase>,
-}
-
-impl TestSuite {
-    /// Number of cases in the suite.
-    pub fn len(&self) -> usize {
-        self.cases.len()
-    }
-
-    /// True if the suite has no cases.
-    pub fn is_empty(&self) -> bool {
-        self.cases.is_empty()
-    }
-
-    /// Count of cases per feature, sorted by feature name.
-    ///
-    /// Every feature of [`Feature::all_for`]`(self.model)` is present —
-    /// zero-count features included — so metrics tables built from the
-    /// histogram have a stable row set across seeds and suite sizes.
-    pub fn feature_histogram(&self) -> Vec<(Feature, usize)> {
-        let mut counts: Vec<(Feature, usize)> = Feature::all_for(self.model)
-            .into_iter()
-            .map(|f| (f, 0))
-            .collect();
-        for case in &self.cases {
-            match counts.iter_mut().find(|(f, _)| *f == case.feature) {
-                Some((_, n)) => *n += 1,
-                // Defensive: `cases` is a public field, so a foreign-model
-                // case still gets a row rather than being dropped.
-                None => counts.push((case.feature, 1)),
-            }
-        }
-        counts.sort_by_key(|(f, _)| f.name());
-        counts
-    }
-}
-
-/// Configuration for suite generation.
-#[derive(Clone, Debug)]
-pub struct SuiteConfig {
-    /// The programming model to generate tests for.
-    pub model: DirectiveModel,
-    /// Number of test files.
-    pub size: usize,
-    /// RNG seed; the same seed always produces the same suite.
-    pub seed: u64,
-    /// Language flavors to draw from (the paper's Part Two uses C and C++).
-    pub langs: Vec<Lang>,
-    /// Restrict generation to these features (all features when empty).
-    pub features: Vec<Feature>,
-}
-
-impl SuiteConfig {
-    /// A suite configuration mirroring the paper's defaults for a model.
-    pub fn new(model: DirectiveModel, size: usize, seed: u64) -> Self {
-        Self {
-            model,
-            size,
-            seed,
-            langs: vec![Lang::C, Lang::Cpp],
-            features: Vec::new(),
-        }
-    }
-
-    /// Restrict to C files only (the paper's Part One OpenMP suite).
-    pub fn c_only(mut self) -> Self {
-        self.langs = vec![Lang::C];
-        self
-    }
-}
-
 pub(crate) fn model_prefix(model: DirectiveModel) -> &'static str {
     match model {
         DirectiveModel::OpenAcc => "acc",
@@ -179,88 +97,53 @@ pub(crate) fn model_prefix(model: DirectiveModel) -> &'static str {
 mod tests {
     use super::*;
 
-    /// Collect a suite from the streaming source (what the removed
-    /// `generate_suite` collector used to wrap).
-    fn collect_suite(config: &SuiteConfig) -> TestSuite {
-        TestSuite {
-            model: config.model,
-            cases: TemplateSource::from_config(config)
-                .take(config.size)
-                .into_cases()
-                .map(|generated| generated.case)
-                .collect(),
-        }
+    fn collect(source: TemplateSource, size: usize) -> Vec<TestCase> {
+        source
+            .take(size)
+            .into_cases()
+            .map(|generated| generated.case)
+            .collect()
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let config = SuiteConfig::new(DirectiveModel::OpenAcc, 20, 42);
-        let a = collect_suite(&config);
-        let b = collect_suite(&config);
+        let a = collect(TemplateSource::new(DirectiveModel::OpenAcc, 42), 20);
+        let b = collect(TemplateSource::new(DirectiveModel::OpenAcc, 42), 20);
         assert_eq!(a.len(), 20);
-        for (x, y) in a.cases.iter().zip(b.cases.iter()) {
-            assert_eq!(x.source, y.source);
-            assert_eq!(x.id, y.id);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = collect_suite(&SuiteConfig::new(DirectiveModel::OpenMp, 10, 1));
-        let b = collect_suite(&SuiteConfig::new(DirectiveModel::OpenMp, 10, 2));
-        assert!(a
-            .cases
-            .iter()
-            .zip(b.cases.iter())
-            .any(|(x, y)| x.source != y.source));
+        let a = collect(TemplateSource::new(DirectiveModel::OpenMp, 1), 10);
+        let b = collect(TemplateSource::new(DirectiveModel::OpenMp, 2), 10);
+        assert!(a.iter().zip(b.iter()).any(|(x, y)| x.source != y.source));
     }
 
     #[test]
     fn all_features_are_covered_in_a_large_suite() {
-        let suite = collect_suite(&SuiteConfig::new(DirectiveModel::OpenAcc, 64, 7));
-        let histogram = suite.feature_histogram();
-        assert_eq!(
-            histogram.len(),
-            Feature::all_for(DirectiveModel::OpenAcc).len()
-        );
-        assert!(histogram.iter().all(|(_, count)| *count > 0));
-    }
-
-    #[test]
-    fn feature_histogram_has_stable_rows_even_for_tiny_suites() {
-        // A suite smaller than the feature catalog must still report every
-        // feature, with explicit zero counts, in the same order.
-        let suite = collect_suite(&SuiteConfig::new(DirectiveModel::OpenMp, 3, 5));
-        let histogram = suite.feature_histogram();
-        let all = Feature::all_for(DirectiveModel::OpenMp);
-        assert_eq!(histogram.len(), all.len());
-        let total: usize = histogram.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 3);
-        assert!(histogram.iter().any(|(_, count)| *count == 0));
-        let empty = TestSuite {
-            model: DirectiveModel::OpenMp,
-            cases: Vec::new(),
-        };
-        let rows: Vec<&str> = empty
-            .feature_histogram()
-            .iter()
-            .map(|(f, _)| f.name())
-            .collect();
-        let full_rows: Vec<&str> = histogram.iter().map(|(f, _)| f.name()).collect();
-        assert_eq!(rows, full_rows, "row set must not depend on the cases");
+        let cases = collect(TemplateSource::new(DirectiveModel::OpenAcc, 7), 64);
+        for feature in Feature::all_for(DirectiveModel::OpenAcc) {
+            assert!(
+                cases.iter().any(|c| c.feature == feature),
+                "{feature:?} never generated"
+            );
+        }
     }
 
     #[test]
     fn c_only_restriction_is_respected() {
-        let suite = collect_suite(&SuiteConfig::new(DirectiveModel::OpenMp, 30, 3).c_only());
-        assert!(suite.cases.iter().all(|c| c.lang == Lang::C));
+        let cases = collect(TemplateSource::new(DirectiveModel::OpenMp, 3).c_only(), 30);
+        assert!(cases.iter().all(|c| c.lang == Lang::C));
+        let mixed = collect(TemplateSource::new(DirectiveModel::OpenMp, 3), 30);
+        assert!(mixed.iter().any(|c| c.lang == Lang::Cpp));
     }
 
     #[test]
     fn sources_mention_their_model() {
-        let acc = collect_suite(&SuiteConfig::new(DirectiveModel::OpenAcc, 16, 9));
-        assert!(acc.cases.iter().all(|c| c.source.contains("#pragma acc")));
-        let omp = collect_suite(&SuiteConfig::new(DirectiveModel::OpenMp, 16, 9));
-        assert!(omp.cases.iter().all(|c| c.source.contains("#pragma omp")));
+        let acc = collect(TemplateSource::new(DirectiveModel::OpenAcc, 9), 16);
+        assert!(acc.iter().all(|c| c.source.contains("#pragma acc")));
+        let omp = collect(TemplateSource::new(DirectiveModel::OpenMp, 9), 16);
+        assert!(omp.iter().all(|c| c.source.contains("#pragma omp")));
     }
 }

@@ -4,8 +4,8 @@
 //! a source yields one [`GeneratedCase`] at a time, so a suite of any size
 //! can flow into a consumer (such as the validation service's
 //! `submit_source`) in constant memory. Sources compose like iterators —
-//! [`CaseSource::take`], [`CaseSource::filter_features`],
-//! [`CaseSource::interleave`], [`CaseSource::shard`] — and `vv-probing`
+//! [`CaseSource::take`], [`CaseSource::interleave`],
+//! [`CaseSource::shard`] — and `vv-probing`
 //! contributes a `probe` adapter that injects the paper's negative-probing
 //! mutations into the stream.
 //!
@@ -30,7 +30,7 @@ use vv_dclang::DirectiveModel;
 use vv_simcompiler::Lang;
 
 use crate::features::Feature;
-use crate::{model_prefix, random_code, templates, SuiteConfig, TestCase};
+use crate::{model_prefix, random_code, templates, TestCase};
 
 /// The paper's "no issue" id (issue 5): probed but left unchanged.
 pub const NO_ISSUE_ID: u8 = 5;
@@ -159,24 +159,6 @@ pub trait CaseSource {
         }
     }
 
-    /// Keep only cases whose feature is in `features`. An empty list keeps
-    /// everything, matching the empty-means-all convention of
-    /// [`TemplateSource::features`] and the `CorpusSpec` builder.
-    ///
-    /// Like any lazy filter, a feature set that can never match (e.g.
-    /// OpenMP features over an OpenACC stream) makes `next_case` pull from
-    /// an unbounded source forever — bound the source first if the filter
-    /// might be empty of matches.
-    fn filter_features(self, features: Vec<Feature>) -> FilterFeatures<Self>
-    where
-        Self: Sized,
-    {
-        FilterFeatures {
-            inner: self,
-            features,
-        }
-    }
-
     /// Alternate cases from `self` and `other`; once one side is exhausted,
     /// the rest of the other side is streamed through.
     fn interleave<B>(self, other: B) -> Interleave<Self, B>
@@ -287,10 +269,11 @@ impl<S: CaseSource + ?Sized> CaseSource for &mut S {
 /// The lazy template generator: an **unbounded** stream of valid V&V tests
 /// for one programming model (use [`CaseSource::take`] to bound it).
 ///
-/// Case *i* uses feature `features[i % features.len()]` (round-robin
-/// coverage, as `generate_suite` always did) and draws its language flavor
-/// and surface parameters from a per-index split seed, so any case can be
-/// produced — or skipped over — without generating its predecessors.
+/// Case *i* uses feature `i % n` of the `n` features of
+/// [`Feature::all_for`]`(model)` (round-robin coverage) and draws its
+/// language flavor and surface parameters from a per-index split seed, so
+/// any case can be produced — or skipped over — without generating its
+/// predecessors.
 #[derive(Clone, Debug)]
 pub struct TemplateSource {
     model: DirectiveModel,
@@ -312,42 +295,9 @@ impl TemplateSource {
         }
     }
 
-    /// Mirror a legacy [`SuiteConfig`] (model, seed, langs, features); the
-    /// stream stays unbounded — apply `.take(config.size)` for the suite.
-    pub fn from_config(config: &SuiteConfig) -> Self {
-        Self::new(config.model, config.seed)
-            .langs(config.langs.clone())
-            .features(config.features.clone())
-    }
-
-    /// Restrict the language flavors to draw from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `langs` is empty.
-    pub fn langs(mut self, langs: Vec<Lang>) -> Self {
-        assert!(!langs.is_empty(), "TemplateSource needs at least one Lang");
-        self.langs = langs;
-        self
-    }
-
     /// Emit C files only (the paper's Part One OpenMP suite).
-    pub fn c_only(self) -> Self {
-        self.langs(vec![Lang::C])
-    }
-
-    /// Restrict generation to `features` (all features when empty).
-    pub fn features(mut self, features: Vec<Feature>) -> Self {
-        self.features = if features.is_empty() {
-            Feature::all_for(self.model)
-        } else {
-            features
-        };
-        assert!(
-            !self.features.is_empty(),
-            "no features available for {:?}",
-            self.model
-        );
+    pub fn c_only(mut self) -> Self {
+        self.langs = vec![Lang::C];
         self
     }
 }
@@ -461,44 +411,6 @@ impl CaseSource for RandomCodeSource {
     }
 }
 
-/// A source over an already-materialized list of test cases (used by the
-/// legacy batch collectors and for replaying fixed suites through streaming
-/// consumers).
-#[derive(Clone, Debug)]
-pub struct CasesSource {
-    cases: std::vec::IntoIter<TestCase>,
-}
-
-/// Stream a vector of existing test cases.
-pub fn from_cases(cases: Vec<TestCase>) -> CasesSource {
-    CasesSource {
-        cases: cases.into_iter(),
-    }
-}
-
-impl CaseSource for CasesSource {
-    fn next_case(&mut self) -> Option<GeneratedCase> {
-        self.cases.next().map(GeneratedCase::from_case)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.cases.len();
-        (remaining, Some(remaining))
-    }
-
-    fn describe(&self) -> String {
-        format!("cases({} remaining)", self.cases.len())
-    }
-
-    fn skip_cases(&mut self, count: usize) -> usize {
-        let available = self.cases.len().min(count);
-        for _ in 0..available {
-            self.cases.next();
-        }
-        available
-    }
-}
-
 // ---------------------------------------------------------------------------
 // combinator adapters
 // ---------------------------------------------------------------------------
@@ -534,53 +446,6 @@ impl<S: CaseSource> CaseSource for Take<S> {
         let capped = count.min(self.remaining);
         let skipped = self.inner.skip_cases(capped);
         self.remaining -= skipped;
-        skipped
-    }
-}
-
-/// See [`CaseSource::filter_features`].
-#[derive(Clone, Debug)]
-pub struct FilterFeatures<S> {
-    inner: S,
-    features: Vec<Feature>,
-}
-
-impl<S: CaseSource> CaseSource for FilterFeatures<S> {
-    fn next_case(&mut self) -> Option<GeneratedCase> {
-        loop {
-            let case = self.inner.next_case()?;
-            if self.features.is_empty() || self.features.contains(&case.case.feature) {
-                return Some(case);
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Filtering can drop anything; only the upper bound survives.
-        (0, self.inner.size_hint().1)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} -> filter_features({})",
-            self.inner.describe(),
-            self.features.len()
-        )
-    }
-
-    fn skip_cases(&mut self, count: usize) -> usize {
-        if self.features.is_empty() {
-            // Empty-means-all: a pure pass-through keeps the inner O(1) skip.
-            return self.inner.skip_cases(count);
-        }
-        // A real filter must inspect every case it discards.
-        let mut skipped = 0;
-        while skipped < count {
-            if self.next_case().is_none() {
-                break;
-            }
-            skipped += 1;
-        }
         skipped
     }
 }
@@ -810,30 +675,6 @@ mod tests {
         let source = TemplateSource::new(DirectiveModel::OpenMp, 1).take(5);
         assert_eq!(source.size_hint(), (5, Some(5)));
         assert_eq!(source.into_cases().count(), 5);
-    }
-
-    #[test]
-    fn filter_features_keeps_only_requested_features() {
-        let features = vec![Feature::all_for(DirectiveModel::OpenAcc)[0]];
-        let kept: Vec<_> = TemplateSource::new(DirectiveModel::OpenAcc, 4)
-            .filter_features(features.clone())
-            .take(6)
-            .into_cases()
-            .collect();
-        assert_eq!(kept.len(), 6);
-        assert!(kept.iter().all(|c| c.case.feature == features[0]));
-    }
-
-    #[test]
-    fn filter_features_with_an_empty_list_keeps_everything() {
-        // Empty-means-all, like `TemplateSource::features` — and crucially
-        // not an infinite discard loop over the unbounded source.
-        let kept = TemplateSource::new(DirectiveModel::OpenAcc, 4)
-            .filter_features(Vec::new())
-            .take(6)
-            .into_cases()
-            .count();
-        assert_eq!(kept, 6);
     }
 
     #[test]

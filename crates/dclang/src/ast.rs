@@ -15,18 +15,6 @@ pub enum BaseType {
 }
 
 impl BaseType {
-    /// Source spelling of the base type.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BaseType::Void => "void",
-            BaseType::Char => "char",
-            BaseType::Int => "int",
-            BaseType::Long => "long",
-            BaseType::Float => "float",
-            BaseType::Double => "double",
-        }
-    }
-
     /// True for the floating-point base types.
     pub fn is_float(&self) -> bool {
         matches!(self, BaseType::Float | BaseType::Double)
@@ -88,22 +76,6 @@ impl Type {
     /// True if this is any pointer type.
     pub fn is_pointer(&self) -> bool {
         self.pointers > 0
-    }
-
-    /// Render the type as source text (e.g. `"const double *"`).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        if self.is_const {
-            s.push_str("const ");
-        }
-        if self.is_unsigned {
-            s.push_str("unsigned ");
-        }
-        s.push_str(self.base.as_str());
-        for _ in 0..self.pointers {
-            s.push_str(" *");
-        }
-        s
     }
 }
 
@@ -504,19 +476,6 @@ fn collect_stmt_directives<'a>(stmt: &'a Stmt, out: &mut Vec<&'a Directive>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_render() {
-        assert_eq!(Type::scalar(BaseType::Int).render(), "int");
-        assert_eq!(Type::pointer(BaseType::Double).render(), "double *");
-        let t = Type {
-            base: BaseType::Float,
-            pointers: 2,
-            is_const: true,
-            is_unsigned: false,
-        };
-        assert_eq!(t.render(), "const float * *");
-    }
 
     #[test]
     fn base_type_properties() {

@@ -60,24 +60,6 @@ pub struct Clause {
     pub args: Option<String>,
 }
 
-impl Clause {
-    /// Construct a clause without arguments.
-    pub fn bare(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            args: None,
-        }
-    }
-
-    /// Render the clause back to source text.
-    pub fn render(&self) -> String {
-        match &self.args {
-            Some(args) => format!("{}({})", self.name, args),
-            None => self.name.clone(),
-        }
-    }
-}
-
 /// A parsed pragma directive.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Directive {
@@ -140,20 +122,6 @@ impl Directive {
             ),
             None => true,
         }
-    }
-
-    /// Render the directive back to a `#pragma` line (without the newline).
-    pub fn render(&self) -> String {
-        let mut s = format!("#pragma {}", self.sentinel);
-        for word in &self.name {
-            s.push(' ');
-            s.push_str(word);
-        }
-        for clause in &self.clauses {
-            s.push(' ');
-            s.push_str(&clause.render());
-        }
-        s
     }
 }
 
@@ -410,16 +378,6 @@ mod tests {
         assert_eq!(d.model, Some(DirectiveModel::OpenAcc));
         assert!(d.name.is_empty());
         assert_eq!(d.clauses[0].name, "paralel");
-    }
-
-    #[test]
-    fn render_round_trip() {
-        let d = parse("acc parallel loop reduction(+:sum)");
-        let rendered = d.render();
-        assert_eq!(rendered, "#pragma acc parallel loop reduction(+:sum)");
-        let reparsed = parse_pragma(rendered.strip_prefix("#pragma ").unwrap(), Span::new(1, 1));
-        assert_eq!(reparsed.name, d.name);
-        assert_eq!(reparsed.clauses, d.clauses);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use accumulate::{
     PerIssueAccumulator, RadarAccumulator,
 };
 pub use radar::{radar_series, RadarCategory, RadarPoint};
-pub use tables::{render_csv, render_overall_table, render_per_issue_table, render_radar_table};
+pub use tables::{render_overall_table, render_per_issue_table, render_radar_table};
 
 use vv_judge::Verdict;
 use vv_probing::IssueKind;

@@ -1,4 +1,4 @@
-//! Plain-text and CSV table renderers.
+//! Plain-text table renderers.
 //!
 //! These mirror the layout of the paper's tables so that the `repro`
 //! harness can print directly comparable output.
@@ -114,28 +114,6 @@ pub fn render_radar_table(title: &str, columns: &[(&str, &[RadarPoint])]) -> Str
     out
 }
 
-/// Render per-issue rows as CSV (one line per issue, plus a header).
-///
-/// Issue groups with no records emit an empty `accuracy` field: a blank
-/// cell, distinguishable from an explicit `0.0000`.
-pub fn render_csv(model: DirectiveModel, rows: &[PerIssueRow]) -> String {
-    let mut out = String::from("issue_id,issue,count,correct,incorrect,accuracy\n");
-    for row in rows {
-        let accuracy = row.accuracy.map(|a| format!("{a:.4}")).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{}",
-            row.issue.id(),
-            row.issue.table_label(model).replace(',', ";"),
-            row.count,
-            row.correct,
-            row.incorrect,
-            accuracy
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_line_per_issue_plus_header() {
-        let rows = per_issue(&sample_records());
-        let csv = render_csv(DirectiveModel::OpenAcc, &rows);
-        assert_eq!(csv.lines().count(), 1 + rows.len());
-        assert!(csv.starts_with("issue_id,"));
-    }
-
-    #[test]
     fn empty_issue_cells_render_as_na_not_zero_percent() {
         // The sample records cover issues 1, 3 and 5 only; 0, 2 and 4 are
         // empty cells and must not masquerade as 0%-accurate rows.
@@ -227,16 +197,5 @@ mod tests {
         // incorrect record) is a genuine 0%.
         assert_eq!(table.matches("n/a").count(), 3, "{table}");
         assert!(table.contains("0%"), "{table}");
-        let csv = render_csv(DirectiveModel::OpenAcc, &rows);
-        let empty_row = csv
-            .lines()
-            .find(|line| line.starts_with("4,"))
-            .expect("issue 4 row");
-        assert!(empty_row.ends_with(','), "blank accuracy cell: {empty_row}");
-        let full_row = csv
-            .lines()
-            .find(|line| line.starts_with("5,"))
-            .expect("issue 5 row");
-        assert!(full_row.ends_with("0.5000"), "{full_row}");
     }
 }

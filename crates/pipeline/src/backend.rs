@@ -27,9 +27,7 @@ use vv_judge::{
     CodeSignals, JudgeOutcome, JudgeProfile, JudgeSession, PromptStyle, SurrogateLlmJudge,
     ToolContext, ToolRecord,
 };
-use vv_simcompiler::{
-    CacheStats, CompileCache, CompileFetch, CompileSession, PersistentCache, Program,
-};
+use vv_simcompiler::{CompileCache, CompileFetch, CompileSession, PersistentCache, Program};
 use vv_simexec::{ExecConfig, Executor};
 
 /// The result of a compile backend call: the summary recorded in the
@@ -179,11 +177,6 @@ impl SimCompileBackend {
             persistent: None,
             sessions: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Compile-cache statistics, if a cache is attached.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Check a session for `model` out of the pool (building a fresh one
@@ -540,7 +533,8 @@ int main() {
 
     #[test]
     fn compile_cache_hits_share_artifacts() {
-        let backend = SimCompileBackend::default();
+        let cache = CompileCache::shared();
+        let backend = SimCompileBackend::cached(Arc::clone(&cache));
         let work = item(VALID_ACC);
         let _first = backend.compile(&work); // first touch: admission filter
         let second = backend.compile(&work); // admitted
@@ -551,14 +545,14 @@ int main() {
             &second.signals.unwrap(),
             &third.signals.unwrap()
         ));
-        let stats = backend.cache_stats().unwrap();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]
     fn uncached_backend_still_precomputes_signals() {
         let backend = SimCompileBackend::uncached();
-        assert!(backend.cache_stats().is_none());
+        assert!(backend.cache.is_none());
         let compiled = backend.compile(&item(VALID_ACC));
         assert!(compiled.summary.succeeded);
         assert!(compiled.signals.is_some());

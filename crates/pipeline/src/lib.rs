@@ -349,7 +349,8 @@ mod tests {
     fn config_builders() {
         let service = ValidationService::builder()
             .mode(PipelineMode::RecordAll)
-            .indirect_judge()
+            .judge_style(PromptStyle::AgentIndirect)
+            .judge_profile(JudgeProfile::deepseek_agent_indirect())
             .build();
         let config = service.config();
         assert_eq!(config.mode, PipelineMode::RecordAll);

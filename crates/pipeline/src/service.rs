@@ -143,12 +143,6 @@ impl ValidationServiceBuilder {
         self
     }
 
-    /// Use the indirect-analysis judge (LLMJ 2 / Pipeline 2 in the paper).
-    pub fn indirect_judge(self) -> Self {
-        self.judge_style(PromptStyle::AgentIndirect)
-            .judge_profile(JudgeProfile::deepseek_agent_indirect())
-    }
-
     /// Plug in a custom compile backend.
     pub fn compile_backend(mut self, backend: impl CompileBackend + 'static) -> Self {
         self.compile = Some(Arc::new(backend));

@@ -78,15 +78,6 @@ impl PipelineStats {
         1.0 - self.judged as f64 / self.submitted as f64
     }
 
-    /// Files processed per wall-clock second.
-    pub fn throughput_per_sec(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.submitted as f64 / secs
-    }
-
     /// Median simulated judge latency, in milliseconds (`None` before any
     /// file was judged).
     pub fn judge_latency_p50(&self) -> Option<f64> {
@@ -280,18 +271,15 @@ mod tests {
         let stats = PipelineStats {
             submitted: 100,
             judged: 40,
-            wall_time: Duration::from_secs(2),
             ..Default::default()
         };
         assert!((stats.judge_stage_savings() - 0.6).abs() < 1e-12);
-        assert!((stats.throughput_per_sec() - 50.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_do_not_divide_by_zero() {
         let stats = PipelineStats::default();
         assert_eq!(stats.judge_stage_savings(), 0.0);
-        assert_eq!(stats.throughput_per_sec(), 0.0);
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! [`probe`](source::ProbeExt::probe) combinator that mutates a
 //! deterministic fraction of the stream (see [`source::ProbedSource`]), and
 //! [`CorpusSpec`] builds complete generation→probing→sharding pipelines
-//! from one declarative description. (The deprecated batch collector
-//! `build_probed_suite` was removed in 0.4.0 after its one-release grace
-//! period; probe a source and collect the cases you need.)
+//! from one declarative description.
 
 pub mod mutate;
 pub mod source;
@@ -36,9 +34,7 @@ pub use mutate::{apply_mutation, MutationOutcome};
 pub use source::{ProbeExt, ProbedSource};
 pub use spec::CorpusSpec;
 
-#[cfg(test)]
-use vv_corpus::TestSuite;
-use vv_corpus::{GeneratedCase, TestCase};
+use vv_corpus::GeneratedCase;
 use vv_dclang::DirectiveModel;
 
 /// The negative-probing issue classes (issue IDs 0–5 in the paper).
@@ -145,81 +141,6 @@ impl IssueKind {
     }
 }
 
-/// A test case after negative probing.
-#[derive(Clone, Debug)]
-pub struct ProbedCase {
-    /// The original, valid test case.
-    pub case: TestCase,
-    /// Which issue (if any) was injected.
-    pub issue: IssueKind,
-    /// The source text after mutation (equal to the original for issue 5).
-    pub source: String,
-    /// A short note describing exactly what the mutation changed.
-    pub note: String,
-}
-
-impl ProbedCase {
-    /// Adopt a case from the streaming source pipeline.
-    pub fn from_generated(generated: GeneratedCase) -> Self {
-        Self {
-            issue: IssueKind::of_case(&generated),
-            source: generated.source,
-            note: generated.note,
-            case: generated.case,
-        }
-    }
-
-    /// Ground-truth validity per the paper's system-of-verification.
-    pub fn ground_truth_valid(&self) -> bool {
-        self.issue.is_valid()
-    }
-}
-
-impl From<GeneratedCase> for ProbedCase {
-    fn from(generated: GeneratedCase) -> Self {
-        ProbedCase::from_generated(generated)
-    }
-}
-
-/// A full probed suite for one programming model.
-#[derive(Clone, Debug)]
-pub struct ProbedSuite {
-    /// The programming model.
-    pub model: DirectiveModel,
-    /// Probed cases (valid and mutated, interleaved by the split law).
-    pub cases: Vec<ProbedCase>,
-}
-
-impl ProbedSuite {
-    /// Number of probed cases.
-    pub fn len(&self) -> usize {
-        self.cases.len()
-    }
-
-    /// True if the suite is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cases.is_empty()
-    }
-
-    /// Count of cases per issue kind, in paper order.
-    pub fn issue_counts(&self) -> Vec<(IssueKind, usize)> {
-        IssueKind::ALL
-            .iter()
-            .map(|issue| {
-                (
-                    *issue,
-                    self.cases.iter().filter(|c| c.issue == *issue).count(),
-                )
-            })
-            .collect()
-    }
-
-    /// Number of ground-truth-valid cases.
-    pub fn valid_count(&self) -> usize {
-        self.cases.iter().filter(|c| c.ground_truth_valid()).count()
-    }
-}
-
 /// Configuration for probing a suite.
 #[derive(Clone, Debug)]
 pub struct ProbeConfig {
@@ -259,28 +180,12 @@ mod tests {
     use super::*;
     use vv_corpus::{CaseSource, TemplateSource};
 
-    fn sample_suite(model: DirectiveModel, size: usize) -> TestSuite {
-        TestSuite {
-            model,
-            cases: TemplateSource::new(model, 77)
-                .take(size)
-                .into_cases()
-                .map(|generated| generated.case)
-                .collect(),
-        }
-    }
-
-    /// Probe a materialized suite through the streaming adapter (what the
-    /// removed `build_probed_suite` collector used to wrap).
-    fn probe_suite(suite: &TestSuite, config: &ProbeConfig) -> ProbedSuite {
-        ProbedSuite {
-            model: suite.model,
-            cases: vv_corpus::source::from_cases(suite.cases.clone())
-                .probe(config.clone())
-                .into_cases()
-                .map(ProbedCase::from_generated)
-                .collect(),
-        }
+    fn probed(model: DirectiveModel, size: usize, config: ProbeConfig) -> Vec<GeneratedCase> {
+        TemplateSource::new(model, 77)
+            .probe(config)
+            .take(size)
+            .into_cases()
+            .collect()
     }
 
     #[test]
@@ -301,43 +206,38 @@ mod tests {
 
     #[test]
     fn split_is_half_and_half() {
-        let suite = sample_suite(DirectiveModel::OpenAcc, 60);
-        let probed = probe_suite(&suite, &ProbeConfig::with_seed(1));
-        assert_eq!(probed.len(), 60);
-        assert_eq!(probed.valid_count(), 30);
+        let cases = probed(DirectiveModel::OpenAcc, 60, ProbeConfig::with_seed(1));
+        assert_eq!(cases.len(), 60);
+        assert_eq!(cases.iter().filter(|c| c.ground_truth_valid()).count(), 30);
     }
 
     #[test]
     fn probing_is_deterministic() {
-        let suite = sample_suite(DirectiveModel::OpenMp, 40);
-        let a = probe_suite(&suite, &ProbeConfig::with_seed(5));
-        let b = probe_suite(&suite, &ProbeConfig::with_seed(5));
-        for (x, y) in a.cases.iter().zip(b.cases.iter()) {
-            assert_eq!(x.issue, y.issue);
-            assert_eq!(x.source, y.source);
-        }
+        let a = probed(DirectiveModel::OpenMp, 40, ProbeConfig::with_seed(5));
+        let b = probed(DirectiveModel::OpenMp, 40, ProbeConfig::with_seed(5));
+        assert_eq!(a, b);
     }
 
     #[test]
     fn all_mutation_classes_appear_in_a_large_suite() {
-        let suite = sample_suite(DirectiveModel::OpenAcc, 300);
-        let probed = probe_suite(&suite, &ProbeConfig::with_seed(3));
+        let cases = probed(DirectiveModel::OpenAcc, 300, ProbeConfig::with_seed(3));
         for issue in IssueKind::MUTATIONS {
-            let count = probed.cases.iter().filter(|c| c.issue == issue).count();
+            let count = cases
+                .iter()
+                .filter(|c| IssueKind::of_case(c) == issue)
+                .count();
             assert!(count > 0, "issue {issue:?} never generated");
         }
     }
 
     #[test]
     fn mutated_sources_differ_from_originals() {
-        let suite = sample_suite(DirectiveModel::OpenMp, 50);
-        let probed = probe_suite(&suite, &ProbeConfig::with_seed(11));
-        for case in &probed.cases {
-            if case.issue != IssueKind::NoIssue {
+        for case in probed(DirectiveModel::OpenMp, 50, ProbeConfig::with_seed(11)) {
+            let issue = IssueKind::of_case(&case);
+            if issue != IssueKind::NoIssue {
                 assert_ne!(
                     case.source, case.case.source,
-                    "{:?} left the source unchanged",
-                    case.issue
+                    "{issue:?} left the source unchanged"
                 );
             } else {
                 assert_eq!(case.source, case.case.source);
@@ -358,9 +258,16 @@ mod tests {
 
     #[test]
     fn issue_counts_sum_to_len() {
-        let suite = sample_suite(DirectiveModel::OpenAcc, 80);
-        let probed = probe_suite(&suite, &ProbeConfig::default());
-        let total: usize = probed.issue_counts().iter().map(|(_, n)| n).sum();
-        assert_eq!(total, probed.len());
+        let cases = probed(DirectiveModel::OpenAcc, 80, ProbeConfig::default());
+        let total: usize = IssueKind::ALL
+            .iter()
+            .map(|issue| {
+                cases
+                    .iter()
+                    .filter(|c| IssueKind::of_case(c) == *issue)
+                    .count()
+            })
+            .sum();
+        assert_eq!(total, cases.len());
     }
 }

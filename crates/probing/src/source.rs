@@ -1,8 +1,7 @@
 //! Streaming negative probing: the `probe` adapter for [`CaseSource`]
 //! pipelines.
 //!
-//! [`ProbedSource`] is the streaming replacement for the batch
-//! `build_probed_suite`: it decides **per case**, from a split seed over the
+//! [`ProbedSource`] decides **per case**, from a split seed over the
 //! case's stream index, whether to damage the file and which of the paper's
 //! five mutation classes to apply. Because every decision is a pure function
 //! of `(probe seed, index)`, probing composes with sharding — shard *k* of a
@@ -190,25 +189,21 @@ mod tests {
     #[test]
     fn mutated_positions_do_not_alias_with_periodic_streams() {
         // The split coin must decorrelate mutations from period-2 structure:
-        // restricted to exactly two round-robin features, both features must
-        // see mutated *and* valid cases (a fixed-parity split would pin each
-        // feature to one side forever).
-        use vv_corpus::Feature;
-        let features: Vec<Feature> = Feature::all_for(DirectiveModel::OpenAcc)
-            .into_iter()
-            .take(2)
-            .collect();
+        // over an OpenACC/OpenMP interleave, both models must see mutated
+        // *and* valid cases (a fixed-parity split would pin each model to
+        // one side forever).
         let cases: Vec<GeneratedCase> = TemplateSource::new(DirectiveModel::OpenAcc, 4)
-            .features(features.clone())
+            .interleave(TemplateSource::new(DirectiveModel::OpenMp, 4))
             .probe(ProbeConfig::with_seed(9))
             .take(80)
             .into_cases()
             .collect();
-        for feature in features {
-            let of_feature: Vec<&GeneratedCase> =
-                cases.iter().filter(|c| c.case.feature == feature).collect();
-            assert!(of_feature.iter().any(|c| c.ground_truth_valid()));
-            assert!(of_feature.iter().any(|c| !c.ground_truth_valid()));
+        for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
+            let of_model: Vec<&GeneratedCase> =
+                cases.iter().filter(|c| c.case.model == model).collect();
+            assert_eq!(of_model.len(), 40);
+            assert!(of_model.iter().any(|c| c.ground_truth_valid()));
+            assert!(of_model.iter().any(|c| !c.ground_truth_valid()));
         }
     }
 

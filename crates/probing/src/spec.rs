@@ -1,9 +1,9 @@
 //! [`CorpusSpec`] — one builder for a complete corpus pipeline.
 //!
-//! A spec subsumes the legacy `SuiteConfig` + `ProbeConfig` pair: it names
-//! the model, seed, language flavors, feature subset, corpus size, probing
-//! configuration and (optionally) a shard, and [`CorpusSpec::source`]
-//! assembles the corresponding streaming [`CaseSource`] pipeline:
+//! A spec names the model, seed, language flavors (C and C++, or C only),
+//! corpus size, probing configuration and (optionally) a shard, and
+//! [`CorpusSpec::source`] assembles the corresponding streaming
+//! [`CaseSource`] pipeline:
 //!
 //! ```text
 //! TemplateSource -> probe(ProbeConfig)? -> take(size)? -> shard(k, n)?
@@ -27,9 +27,8 @@
 //! assert_eq!(cases.iter().filter(|c| !c.ground_truth_valid()).count(), 50);
 //! ```
 
-use vv_corpus::{CaseSource, Feature, SuiteConfig, TemplateSource};
+use vv_corpus::{CaseSource, TemplateSource};
 use vv_dclang::DirectiveModel;
-use vv_simcompiler::Lang;
 
 use crate::source::ProbeExt;
 use crate::ProbeConfig;
@@ -40,8 +39,7 @@ pub struct CorpusSpec {
     model: DirectiveModel,
     seed: u64,
     size: Option<usize>,
-    langs: Vec<Lang>,
-    features: Vec<Feature>,
+    c_only: bool,
     probe: Option<ProbeConfig>,
     shard: Option<(usize, usize)>,
 }
@@ -54,22 +52,8 @@ impl CorpusSpec {
             model,
             seed: 0,
             size: None,
-            langs: vec![Lang::C, Lang::Cpp],
-            features: Vec::new(),
+            c_only: false,
             probe: None,
-            shard: None,
-        }
-    }
-
-    /// Mirror a legacy configuration pair.
-    pub fn from_configs(suite: &SuiteConfig, probe: Option<&ProbeConfig>) -> Self {
-        Self {
-            model: suite.model,
-            seed: suite.seed,
-            size: Some(suite.size),
-            langs: suite.langs.clone(),
-            features: suite.features.clone(),
-            probe: probe.cloned(),
             shard: None,
         }
     }
@@ -86,21 +70,9 @@ impl CorpusSpec {
         self
     }
 
-    /// Language flavors to draw from.
-    pub fn langs(mut self, langs: Vec<Lang>) -> Self {
-        self.langs = langs;
-        self
-    }
-
     /// Restrict to C files only.
     pub fn c_only(mut self) -> Self {
-        self.langs = vec![Lang::C];
-        self
-    }
-
-    /// Restrict generation to these features (all features when empty).
-    pub fn features(mut self, features: Vec<Feature>) -> Self {
-        self.features = features;
+        self.c_only = true;
         self
     }
 
@@ -132,10 +104,11 @@ impl CorpusSpec {
 
     /// Assemble the streaming source pipeline this spec describes.
     pub fn source(&self) -> Box<dyn CaseSource + Send> {
-        let mut source: Box<dyn CaseSource + Send> = TemplateSource::new(self.model, self.seed)
-            .langs(self.langs.clone())
-            .features(self.features.clone())
-            .boxed();
+        let mut templates = TemplateSource::new(self.model, self.seed);
+        if self.c_only {
+            templates = templates.c_only();
+        }
+        let mut source: Box<dyn CaseSource + Send> = templates.boxed();
         if let Some(config) = &self.probe {
             source = source.probe(config.clone()).boxed();
         }
@@ -158,6 +131,7 @@ impl CorpusSpec {
 mod tests {
     use super::*;
     use vv_corpus::GeneratedCase;
+    use vv_simcompiler::Lang;
 
     fn collect(spec: &CorpusSpec) -> Vec<GeneratedCase> {
         spec.source().into_cases().collect()
@@ -191,18 +165,20 @@ mod tests {
     }
 
     #[test]
-    fn c_only_and_features_are_forwarded() {
-        let feature = Feature::all_for(DirectiveModel::OpenMp)[2];
-        let cases = collect(
-            &CorpusSpec::new(DirectiveModel::OpenMp)
+    fn c_only_is_forwarded() {
+        let spec = CorpusSpec::new(DirectiveModel::OpenMp).seed(3).size(30);
+        let cases = collect(&spec.clone().c_only());
+        assert_eq!(cases.len(), 30);
+        assert!(cases.iter().all(|c| c.case.lang == Lang::C));
+        assert_eq!(
+            cases,
+            TemplateSource::new(DirectiveModel::OpenMp, 3)
                 .c_only()
-                .features(vec![feature])
-                .size(9),
+                .take(30)
+                .into_cases()
+                .collect::<Vec<_>>()
         );
-        assert_eq!(cases.len(), 9);
-        assert!(cases
-            .iter()
-            .all(|c| c.case.lang == Lang::C && c.case.feature == feature));
+        assert!(collect(&spec).iter().any(|c| c.case.lang == Lang::Cpp));
     }
 
     #[test]

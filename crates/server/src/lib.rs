@@ -66,7 +66,9 @@
 //! `HELLO` must be the first message on a connection; `protocol` is
 //! [`protocol::PROTOCOL_VERSION`]. The tenant name keys the server-side
 //! queue: every connection claiming the same name shares one queue, one
-//! admission budget and one fairness slot.
+//! admission budget and one fairness slot. A tenant gets its queue and its
+//! `STATS` row at its first `OPEN_JOB`, so a connection that only asks for
+//! `STATS` or `SHUTDOWN` adds no row.
 //!
 //! `OPEN_JOB` declares a campaign. `job` is a client-chosen id, unique
 //! per connection. The enum bytes are defined in [`protocol`]: `mode`

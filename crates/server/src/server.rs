@@ -187,7 +187,7 @@ struct TenantState<T> {
 
 /// Everything a dispatch decision reads, behind the [`Dispatch`] mutex.
 struct DispatchState<T> {
-    /// Every tenant ever seen, in order of first `HELLO`.
+    /// Every tenant that has opened a job, in order of its first `OPEN_JOB`.
     tenants: Vec<TenantState<T>>,
     /// The tenant a pick tries first: the one after the tenant served last.
     cursor: usize,
@@ -258,7 +258,8 @@ impl<T> Dispatch<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The tenant named by a `HELLO`, registered on first sight.
+    /// The tenant named by a `HELLO`, registered at the first `OPEN_JOB`
+    /// any of its connections sends.
     fn tenant(&self, name: &str) -> usize {
         let tenants = &mut self.lock().tenants;
         if let Some(idx) = tenants.iter().position(|t| t.row.name == name) {
@@ -560,11 +561,11 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
         });
     };
 
-    // Handshake: the first frame must be a version-matching HELLO.
-    let tenant = match read_request(&mut reader, &mut buf) {
-        Some(Request::Hello { protocol, tenant }) if protocol == PROTOCOL_VERSION => {
-            inner.dispatch.tenant(&tenant)
-        }
+    // Handshake: the first frame must be a version-matching HELLO. The
+    // tenant's row is registered at its first OPEN_JOB, so a connection
+    // that only asks for STATS or SHUTDOWN leaves no row behind.
+    let name = match read_request(&mut reader, &mut buf) {
+        Some(Request::Hello { protocol, tenant }) if protocol == PROTOCOL_VERSION => tenant,
         Some(Request::Hello { .. }) => {
             refuse(ErrorCode::Protocol, "protocol version mismatch");
             return;
@@ -580,6 +581,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
         server: inner.config.name.clone(),
     });
 
+    let mut tenant = None;
     let mut jobs: HashMap<u32, Arc<JobState>> = HashMap::new();
     while let Some(request) = read_request(&mut reader, &mut buf) {
         match request {
@@ -596,6 +598,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
                     refuse(ErrorCode::Protocol, "job id reused");
                     break;
                 }
+                let tenant = *tenant.get_or_insert_with(|| inner.dispatch.tenant(&name));
                 inner.dispatch.lock().tenants[tenant].row.jobs_opened += 1;
                 jobs.insert(
                     job,
@@ -628,7 +631,9 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
                 let job = Arc::clone(job);
                 // This is the admission point: a full tenant queue blocks
                 // here, which stops draining this client's socket.
-                inner.dispatch.enqueue(tenant, Queued { job, seq, item });
+                inner
+                    .dispatch
+                    .enqueue(job.tenant, Queued { job, seq, item });
             }
             Request::FinishJob { job } => {
                 let Some(job) = jobs.get(&job) else {

@@ -80,12 +80,6 @@ impl CompileSession {
         }
     }
 
-    /// Override the accepted specification version.
-    pub fn with_spec_version(mut self, version: Version) -> Self {
-        self.spec_version = version;
-        self
-    }
-
     /// Attach a shared content-addressed compile cache.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
@@ -269,9 +263,11 @@ pub(crate) fn one_shot_compile(
     source: &str,
     lang: Lang,
 ) -> CompileOutcome {
-    CompileSession::for_model(model)
-        .with_spec_version(spec_version)
-        .compile_uncached(source, lang)
+    CompileSession {
+        spec_version,
+        ..CompileSession::for_model(model)
+    }
+    .compile_uncached(source, lang)
 }
 
 #[cfg(test)]

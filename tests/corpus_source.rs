@@ -1,7 +1,5 @@
 //! Determinism contracts of the streaming corpus API.
 //!
-//! * `CorpusSpec::from_configs` mirrors the legacy `SuiteConfig` +
-//!   `ProbeConfig` pair onto the explicit builder;
 //! * `shard(k, n)` is reproducible per shard and its union across any shard
 //!   count n ∈ {1, 2, 4} is byte-identical to the unsharded stream;
 //! * a large generated+probed corpus streams through `submit_source`
@@ -22,34 +20,6 @@ fn probed_spec(model: DirectiveModel, size: usize, seed: u64) -> CorpusSpec {
         .seed(seed)
         .probe_seed(seed ^ 0x50_52_4F_42)
         .size(size)
-}
-
-#[test]
-fn corpus_spec_from_configs_matches_the_explicit_builder() {
-    use vv_corpus::SuiteConfig;
-    let suite_config = SuiteConfig::new(DirectiveModel::OpenMp, 26, 404).c_only();
-    let probe_config = ProbeConfig::with_seed(405);
-    let migrated: Vec<GeneratedCase> = CorpusSpec::from_configs(&suite_config, Some(&probe_config))
-        .source()
-        .into_cases()
-        .collect();
-    let explicit: Vec<GeneratedCase> = CorpusSpec::new(DirectiveModel::OpenMp)
-        .seed(404)
-        .c_only()
-        .probe(probe_config.clone())
-        .size(26)
-        .source()
-        .into_cases()
-        .collect();
-    assert_eq!(migrated, explicit);
-    // The config pair is also byte-identical to probing the raw template
-    // stream by hand.
-    let by_hand: Vec<GeneratedCase> = TemplateSource::from_config(&suite_config)
-        .probe(probe_config)
-        .take(26)
-        .into_cases()
-        .collect();
-    assert_eq!(migrated, by_hand);
 }
 
 #[test]

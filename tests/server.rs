@@ -20,7 +20,7 @@
 //!    is refused at startup, and a store that cannot be sealed is reported
 //!    instead of acknowledged;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
-//!    the right tenant;
+//!    the right tenant, and has a row only for tenants that opened a job;
 //! 7. **No transport stalls** — small jobs over TCP never wait on a
 //!    delayed ACK.
 //!
@@ -479,6 +479,31 @@ fn the_stats_snapshot_accounts_every_served_case() {
     assert!(rendered.contains("serving"), "{rendered}");
 
     drop(client);
+    server.handle().shutdown().expect("store seals");
+    server.join();
+}
+
+#[test]
+fn a_connection_that_only_reads_stats_adds_no_tenant_row() {
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let mut observer = Client::over(Box::new(server.connect()), "observer").expect("handshake");
+    let before = observer.stats().expect("STATS_OK");
+    assert!(before.tenants.is_empty(), "{before}");
+
+    let mut worker = Client::over(Box::new(server.connect()), "worker").expect("handshake");
+    worker
+        .submit(
+            JobSpec::default(),
+            corpus(DirectiveModel::OpenAcc, 0x0B5E, 4),
+        )
+        .expect("submit")
+        .into_run()
+        .expect("campaign");
+    let after = observer.stats().expect("STATS_OK");
+    let names: Vec<&str> = after.tenants.iter().map(|row| row.name.as_str()).collect();
+    assert_eq!(names, ["worker"], "{after}");
+
+    drop((observer, worker));
     server.handle().shutdown().expect("store seals");
     server.join();
 }
