@@ -95,7 +95,7 @@ fn write_bench_point() {
     let started = Instant::now();
     let cold = run_incremental_campaign(&matrix, &dir, None).expect("cold run");
     let cold_secs = started.elapsed().as_secs_f64();
-    assert!(cold.completed);
+    assert!(cold.completed());
 
     // Best of three warm passes (open + scan + fold, zero validations).
     let mut warm_secs = f64::INFINITY;

@@ -10,11 +10,14 @@
 //! * negative-probing fraction, and
 //! * judge calibration profile,
 //!
-//! and [`run_campaign`] executes every scenario (rayon across scenarios).
-//! Each scenario streams its corpus through a record-all
+//! and [`run_campaign`] executes every scenario, several at once on
+//! scoped threads. Each scenario streams its corpus through a record-all
 //! [`ValidationService`] as `shard(k, n)` sources — one independent,
 //! reproducible slice at a time — folding each shard into its own
-//! [`MetricsSink`]s and merging them. By the corpus layer's shard-union
+//! [`MetricsSink`]s and merging them. One private routine drives every
+//! scenario: [`run_scenario`], [`run_campaign`] and the store-backed
+//! [`run_incremental_campaign`](crate::incremental::run_incremental_campaign)
+//! all call it. By the corpus layer's shard-union
 //! law and the accumulators' merge laws, the merged per-scenario metrics
 //! are byte-identical to an unsharded single-pass fold, which is itself
 //! byte-identical to the legacy batch computation over a materialized
@@ -39,10 +42,10 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
+use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
 use vv_judge::{JudgeProfile, PromptStyle};
 use vv_metrics::{Accumulator as _, LatencyTokenSummary, MetricsSink};
@@ -52,6 +55,7 @@ use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
 use crate::experiment::fold_probed_source;
+use crate::incremental::{scan_shard, Checkpoint, FreshSource};
 
 /// One fully-specified cell of a [`ScenarioMatrix`].
 #[derive(Clone, Debug)]
@@ -384,23 +388,122 @@ impl ScenarioMetrics {
 /// folding per-shard accumulators and merging them (see the module docs
 /// for why the merged result is exact).
 pub fn run_scenario(scenario: &Scenario) -> ScenarioMetrics {
-    run_scenario_on(scenario, scenario.service())
+    drive_scenario(scenario, CompileCache::shared(), None)
 }
 
-pub(crate) fn run_scenario_on(scenario: &Scenario, service: ValidationService) -> ScenarioMetrics {
+/// The one scenario driver, behind [`run_scenario`], [`run_campaign`] and
+/// [`run_incremental_campaign`](crate::incremental::run_incremental_campaign).
+///
+/// Without a checkpoint every shard streams through the scenario's
+/// service. With one, a scan pass first folds the records the store
+/// already holds straight off the disk (all shards at once), and a validate
+/// pass then streams only the missing cases through a store-backed service,
+/// each drawing one unit of the campaign's shared budget.
+fn drive_scenario(
+    scenario: &Scenario,
+    cache: Arc<CompileCache>,
+    checkpoint: Option<&Checkpoint>,
+) -> ScenarioMetrics {
     let mut merged = ScenarioMetrics::new(scenario.clone());
-    for k in 0..scenario.shards {
-        let mut shard = ScenarioMetrics::new(scenario.clone());
-        let fold = fold_probed_source(
-            &service,
-            scenario.shard_spec(k).source(),
-            |issue, record| shard.observe(issue, record),
-        );
-        shard.stats = fold.stats;
-        shard.max_in_flight = fold.max_in_flight;
-        merged.merge(&shard);
+    let Some(checkpoint) = checkpoint else {
+        let service = scenario.service_with_cache(cache);
+        for k in 0..scenario.shards {
+            merged.merge(&fold_shard(
+                scenario,
+                &service,
+                scenario.shard_spec(k).source(),
+            ));
+        }
+        return merged;
+    };
+    let service = scenario.service_with_store(cache, &checkpoint.store);
+    let record_store = service
+        .record_store()
+        .expect("the default backends all state their fingerprints");
+    let mut missing = Vec::with_capacity(scenario.shards);
+    for (scan, fresh_ids) in par_map(scenario.shards, |k| scan_shard(scenario, k, record_store)) {
+        merged.merge(&scan);
+        missing.push(fresh_ids);
+    }
+    for (k, fresh_ids) in missing.into_iter().enumerate() {
+        // A fully-warm shard, or a spent budget, skips the validate pass.
+        if fresh_ids.is_empty() || checkpoint.budget.load(Ordering::Relaxed) == 0 {
+            continue;
+        }
+        let source = FreshSource {
+            inner: scenario.shard_spec(k).source(),
+            fresh_ids,
+            budget: Arc::clone(&checkpoint.budget),
+        };
+        merged.merge(&fold_shard(scenario, &service, source));
     }
     merged
+}
+
+/// Stream one shard's cases through `service` into fresh accumulators.
+fn fold_shard(
+    scenario: &Scenario,
+    service: &ValidationService,
+    source: impl CaseSource + Send + 'static,
+) -> ScenarioMetrics {
+    let mut shard = ScenarioMetrics::new(scenario.clone());
+    let fold = fold_probed_source(service, source, |issue, record| {
+        shard.observe(issue, record)
+    });
+    shard.stats = fold.stats;
+    shard.max_in_flight = fold.max_in_flight;
+    shard
+}
+
+/// Every scenario of `matrix` through [`drive_scenario`], several at once,
+/// sharing one content-addressed compile cache: scenario axes that reuse a
+/// corpus (prompt style, judge profile) hit the outcomes their sibling
+/// scenarios already compiled.
+pub(crate) fn drive_campaign(
+    matrix: &ScenarioMatrix,
+    checkpoint: Option<&Checkpoint>,
+) -> CampaignResults {
+    let scenarios = matrix.scenarios();
+    let cache = CompileCache::shared();
+    let scenarios = par_map(scenarios.len(), |i| {
+        drive_scenario(&scenarios[i], Arc::clone(&cache), checkpoint)
+    });
+    CampaignResults { scenarios }
+}
+
+/// `f(0), …, f(n - 1)` in index order, computed on at most
+/// `available_parallelism()` scoped threads: thread `t` takes indices `t`,
+/// `t + threads`, and so on. A panic in `f` resumes on the caller.
+pub(crate) fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let mut strides: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let f = &f;
+                scope.spawn(move || (t..n).step_by(threads).map(f).collect::<Vec<T>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                let stride = worker.join();
+                stride.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .map(Vec::into_iter)
+            .collect()
+    });
+    (0..n)
+        .map(|i| {
+            strides[i % threads]
+                .next()
+                .expect("thread i % threads mapped i")
+        })
+        .collect()
 }
 
 /// Results of a whole campaign, scenario order matching
@@ -415,6 +518,30 @@ impl CampaignResults {
     /// Total cases evaluated across every scenario.
     pub fn total_cases(&self) -> usize {
         self.scenarios.iter().map(ScenarioMetrics::cases).sum()
+    }
+
+    /// Whole-record artifact-store hits across every scenario: cases folded
+    /// from a stored record (by the scan pass, or inside the service when
+    /// an in-run sibling persisted the same source moments earlier) — no
+    /// stage was re-run. Zero without a store.
+    pub fn total_reused(&self) -> usize {
+        self.scenarios.iter().map(|s| s.stats.store_hits).sum()
+    }
+
+    /// Cases validated from scratch through a store-backed service (and
+    /// persisted for next time) across every scenario. Zero without a
+    /// store.
+    pub fn total_fresh(&self) -> usize {
+        self.scenarios.iter().map(|s| s.stats.store_misses).sum()
+    }
+
+    /// True when every scenario covered its full corpus. A store-backed
+    /// campaign whose validation budget ran out first is not; its next run
+    /// resumes from the records this one sealed.
+    pub fn completed(&self) -> bool {
+        self.scenarios
+            .iter()
+            .all(|s| s.stats.submitted == s.scenario.suite_size)
     }
 
     /// Cross-scenario comparison table: one row per scenario with case
@@ -485,26 +612,35 @@ impl CampaignResults {
     }
 }
 
-/// Run every scenario of the matrix, rayon-parallel across scenarios
-/// (each scenario's shards stream sequentially through its own service,
-/// which already runs its stage pools in parallel).
+/// Run every scenario of the matrix, several at once (each scenario's
+/// shards stream sequentially through its own service, which already runs
+/// its stage workers in parallel).
 pub fn run_campaign(matrix: &ScenarioMatrix) -> CampaignResults {
-    let scenarios = matrix.scenarios();
-    // One content-addressed compile cache for the whole campaign: scenario
-    // axes that reuse a corpus (prompt style, judge profile) hit
-    // the outcomes their sibling scenarios already compiled.
-    let cache = CompileCache::shared();
-    let scenarios: Vec<ScenarioMetrics> = scenarios
-        .par_iter()
-        .map(|scenario| run_scenario_on(scenario, scenario.service_with_cache(Arc::clone(&cache))))
-        .collect();
-    CampaignResults { scenarios }
+    drive_campaign(matrix, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vv_corpus::CaseSource;
+
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        for n in [1, 2, 3, 17] {
+            let squares = par_map(n, |i| i * i);
+            assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_map_over_nothing_is_empty() {
+        assert!(par_map(0, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "index 5")]
+    fn par_map_resumes_a_panic_on_the_caller() {
+        par_map(8, |i| assert!(i != 5, "index {i}"));
+    }
 
     #[test]
     fn matrix_enumerates_the_cross_product_in_axis_order() {

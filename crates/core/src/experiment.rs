@@ -5,8 +5,8 @@
 //! metrics of an arbitrarily large suite are computed in constant memory:
 //! no record `Vec` of any kind exists anywhere on the path.
 //!
-//! * [`stream_part_one`] judges each probed file with the plain judge in
-//!   rayon-parallel chunks (Tables I–III).
+//! * [`stream_part_one`] judges each probed file with the plain judge,
+//!   one corpus shard per available core (Tables I–III).
 //! * [`stream_part_two`] runs the paper's two Part Two configurations,
 //!   the direct and the indirect agent judge, as two
 //!   [`campaign`](crate::campaign) scenarios. Each scenario yields both its
@@ -18,18 +18,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rayon::prelude::*;
-
-use vv_corpus::{CaseSource, GeneratedCase};
+use vv_corpus::CaseSource;
 use vv_dclang::DirectiveModel;
-use vv_judge::{JudgeOutcome, JudgeProfile, JudgeSession, PromptStyle, SurrogateLlmJudge};
+use vv_judge::{JudgeProfile, JudgeSession, PromptStyle, SurrogateLlmJudge};
 use vv_metrics::{
     Accumulator as _, LatencyTokenSummary, MetricsSink, OverallStats, PerIssueRow, RadarPoint,
 };
 use vv_pipeline::{CaseRecord, PipelineStats, ValidationService};
 use vv_probing::{CorpusSpec, IssueKind, ProbeConfig};
 
-use crate::campaign::{run_scenario, Scenario, ScenarioMatrix, ScenarioMetrics};
+use crate::campaign::{par_map, run_scenario, Scenario, ScenarioMatrix, ScenarioMetrics};
 
 // ---------------------------------------------------------------------------
 // Part One: plain LLMJ via negative probing (Tables I-III)
@@ -131,45 +129,45 @@ impl PartOneMetrics {
     }
 }
 
-/// Judge-pass chunk size for the Part One fold: bounds peak memory (at most
-/// one chunk of generated cases exists at a time) while keeping rayon's
-/// data parallelism within each chunk.
-const JUDGE_CHUNK: usize = 256;
-
 /// Run Part One: judge every probed file with the plain direct-analysis
 /// prompt (no compilation, no execution, no tool information), folding each
-/// judgement into accumulators in submission order. Cases stream out of the
-/// corpus spec one chunk at a time, so memory is bounded by the chunk size,
-/// not the suite size.
+/// judgement into accumulators. The corpus streams as one shard per
+/// available core, each folded on its own thread; the accumulators merge
+/// exactly, so the result does not depend on the core count.
 pub fn stream_part_one(config: &PartOneConfig) -> PartOneMetrics {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    fold_part_one(config, cores)
+}
+
+/// [`stream_part_one`] over `shards` corpus shards. Each judgement is a
+/// pure function of (case, seed), so any shard count folds the same
+/// metrics.
+fn fold_part_one(config: &PartOneConfig, shards: usize) -> PartOneMetrics {
     let session = JudgeSession::new(
         SurrogateLlmJudge::new(JudgeProfile::deepseek_plain(), config.judge_seed),
         PromptStyle::Direct,
     );
-    let mut metrics = PartOneMetrics {
+    let empty = || PartOneMetrics {
         model: config.model,
         sink: MetricsSink::default(),
         judge_load: LatencyTokenSummary::default(),
     };
-    let mut cases = config.corpus_spec().source().into_cases();
-    loop {
-        let chunk: Vec<GeneratedCase> = cases.by_ref().take(JUDGE_CHUNK).collect();
-        if chunk.is_empty() {
-            break;
+    let partials = par_map(shards, |k| {
+        let mut shard = empty();
+        let mut source = config.corpus_spec().shard(k, shards).source();
+        while let Some(case) = source.next_case() {
+            let outcome = session.evaluate(&case.source, config.model, None);
+            shard
+                .sink
+                .observe_case(IssueKind::of_case(&case), outcome.verdict);
+            shard.judge_load.observe(&outcome);
         }
-        // Each judgement is a pure function of (case, seed), so chunked
-        // parallel evaluation matches a whole-suite pass exactly.
-        let judged: Vec<(IssueKind, JudgeOutcome)> = chunk
-            .par_iter()
-            .map(|case| {
-                let outcome = session.evaluate(&case.source, config.model, None);
-                (IssueKind::of_case(case), outcome)
-            })
-            .collect();
-        for (issue, outcome) in &judged {
-            metrics.sink.observe_case(*issue, outcome.verdict);
-            metrics.judge_load.observe(outcome);
-        }
+        shard
+    });
+    let mut metrics = empty();
+    for shard in &partials {
+        metrics.sink.merge(&shard.sink);
+        metrics.judge_load.merge(&shard.judge_load);
     }
     metrics
 }
@@ -388,6 +386,23 @@ mod tests {
         let total: usize = rows.iter().map(|r| r.count).sum();
         assert_eq!(total, 20);
         assert_eq!(metrics.overall().total, 20);
+    }
+
+    #[test]
+    fn part_one_does_not_depend_on_the_shard_count() {
+        for model in [DirectiveModel::OpenAcc, DirectiveModel::OpenMp] {
+            let config = PartOneConfig::quick(model, 37);
+            let one = fold_part_one(&config, 1);
+            assert_eq!(one.overall().total, 37);
+            for shards in [2, 5] {
+                let sharded = fold_part_one(&config, shards);
+                assert_eq!(sharded.sink, one.sink, "{model:?}, {shards} shards");
+                assert_eq!(
+                    sharded.judge_load, one.judge_load,
+                    "{model:?}, {shards} shards"
+                );
+            }
+        }
     }
 
     #[test]

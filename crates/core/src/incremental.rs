@@ -12,6 +12,14 @@
 //! A crash can cost at most the records not yet sealed into a segment
 //! (the store seals every 1,024 puts); those simply re-validate.
 //!
+//! There is no second driver: [`run_incremental_campaign`] opens the store
+//! and runs the matrix through the same scenario routine as `run_campaign`,
+//! which adds a scan pass and a budgeted validate pass when it is given a
+//! store. The results are the same [`CampaignResults`], whose
+//! [`total_reused`](CampaignResults::total_reused),
+//! [`total_fresh`](CampaignResults::total_fresh) and
+//! [`completed`](CampaignResults::completed) report the store's share.
+//!
 //! Because every accumulator on the path ([`vv_metrics::MetricsSink`],
 //! [`vv_metrics::LatencyTokenSummary`], the latency
 //! histogram inside [`PipelineStats`]) is order-insensitive and exact
@@ -32,25 +40,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rayon::prelude::*;
 use vv_corpus::{CaseSource, GeneratedCase};
-use vv_pipeline::{CaseRecord, PipelineStats, WorkItem};
+use vv_pipeline::{PipelineStats, RecordStore, WorkItem};
 use vv_probing::IssueKind;
-use vv_simcompiler::CompileCache;
 use vv_store::{ArtifactStore, StoreError};
 
-use crate::campaign::{CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
-use crate::experiment::fold_probed_source;
-
-/// Fold one stored record into a scenario's accumulators, exactly as the
-/// live fold would have: the scan pass and the streaming path share
-/// [`ScenarioMetrics::observe`] and
-/// [`PipelineStats::observe_record`], so the two histories cannot diverge.
-fn replay_into(metrics: &mut ScenarioMetrics, issue: IssueKind, record: &CaseRecord) {
-    metrics.observe(issue, record);
-    metrics.stats.submitted += 1;
-    metrics.stats.observe_record(record);
-}
+use crate::campaign::{drive_campaign, CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
 
 /// A [`PipelineStats`] clone with everything history-dependent zeroed:
 /// wall time and the store/compile-cache provenance counters. Two campaign
@@ -67,15 +62,54 @@ pub fn stage_stats(stats: &PipelineStats) -> PipelineStats {
     s
 }
 
+/// The durable state of a store-backed campaign: the store every scenario
+/// reads and writes, and the budget of fresh validations all its scenarios
+/// draw on, concurrently.
+pub(crate) struct Checkpoint {
+    pub(crate) store: Arc<ArtifactStore>,
+    pub(crate) budget: Arc<AtomicUsize>,
+}
+
+/// Scan pass over shard `k` of `scenario`: fold every record the store
+/// already holds into fresh accumulators, exactly as the live fold would
+/// have (both go through [`ScenarioMetrics::observe`] and
+/// [`PipelineStats::observe_record`]), and return the ids of the cases
+/// that still need validating.
+pub(crate) fn scan_shard(
+    scenario: &Scenario,
+    k: usize,
+    record_store: &RecordStore,
+) -> (ScenarioMetrics, HashSet<String>) {
+    let mut scan = ScenarioMetrics::new(scenario.clone());
+    let mut fresh_ids = HashSet::new();
+    let mut source = scenario.shard_spec(k).source();
+    while let Some(case) = source.next_case() {
+        let issue = IssueKind::of_case(&case);
+        let item = WorkItem::from(case);
+        match record_store.replay(&item) {
+            Some(record) => {
+                scan.observe(issue, &record);
+                scan.stats.submitted += 1;
+                scan.stats.observe_record(&record);
+                scan.stats.store_hits += 1;
+            }
+            None => {
+                fresh_ids.insert(item.id);
+            }
+        }
+    }
+    (scan, fresh_ids)
+}
+
 /// The validate-pass corpus source: only cases the scan pass found
 /// missing from the store are yielded, capped by the campaign-wide
 /// validation budget. Once the budget hits zero the stream ends early,
 /// leaving the campaign half done — exactly the state a crash leaves
 /// behind.
-struct FreshSource<S> {
-    inner: S,
-    fresh_ids: HashSet<String>,
-    budget: Arc<AtomicUsize>,
+pub(crate) struct FreshSource<S> {
+    pub(crate) inner: S,
+    pub(crate) fresh_ids: HashSet<String>,
+    pub(crate) budget: Arc<AtomicUsize>,
 }
 
 impl<S: CaseSource> FreshSource<S> {
@@ -110,50 +144,6 @@ impl<S: CaseSource> CaseSource for FreshSource<S> {
     }
 }
 
-/// Per-scenario progress of one [`run_incremental_campaign`] invocation.
-#[derive(Clone, Debug)]
-pub struct ScenarioProgress {
-    /// The scenario's comparison-table label.
-    pub label: String,
-    /// Whole-record artifact-store hits: cases folded from a stored
-    /// record (in the scan pass, which finds every record an interrupted
-    /// run sealed, or inside the service when an in-run sibling persisted
-    /// the same source moments earlier) — no stage was re-run.
-    pub reused: usize,
-    /// Cases validated from scratch through the full service (and
-    /// persisted for next time).
-    pub fresh: usize,
-}
-
-/// Result of one [`run_incremental_campaign`] invocation.
-#[derive(Debug)]
-pub struct IncrementalCampaign {
-    /// Per-scenario merged metrics, byte-identical to an uninterrupted
-    /// [`run_campaign`](crate::campaign::run_campaign) over the same
-    /// matrix whenever [`Self::completed`] (modulo [`stage_stats`]'s
-    /// exclusions).
-    pub results: CampaignResults,
-    /// Per-scenario reuse/fresh breakdown, matrix order.
-    pub progress: Vec<ScenarioProgress>,
-    /// True when every scenario covered its full corpus. False when the
-    /// validation budget ran out first; every record validated so far is
-    /// sealed in the store, and the next invocation resumes by reusing
-    /// them.
-    pub completed: bool,
-}
-
-impl IncrementalCampaign {
-    /// Total whole-record store hits across all scenarios.
-    pub fn total_reused(&self) -> usize {
-        self.progress.iter().map(|p| p.reused).sum()
-    }
-
-    /// Total cases validated from scratch across all scenarios.
-    pub fn total_fresh(&self) -> usize {
-        self.progress.iter().map(|p| p.fresh).sum()
-    }
-}
-
 /// Run (or resume) a scenario-matrix campaign against the durable store
 /// directory `dir`, validating at most `budget` cases before sealing the
 /// store and returning early (`None` = unbounded).
@@ -162,20 +152,26 @@ impl IncrementalCampaign {
 ///
 /// 1. opens (creating if needed) the [`ArtifactStore`] in `dir`,
 ///    quarantining any segment tail a crash tore;
-/// 2. makes two passes over each scenario's shards: a **scan pass** that
+/// 2. drives every scenario through the same routine as
+///    [`run_campaign`](crate::campaign::run_campaign), several at once,
+///    with two passes over each scenario's shards: a **scan pass** that
 ///    folds already-stored records straight off the disk (no pipeline),
 ///    and a **validate pass** that streams only the genuinely missing
 ///    cases through a store-backed service
 ///    ([`Scenario::service_with_store`]), which persists each as it
-///    completes. `budget` caps the validate pass alone — replaying stored
-///    work is free;
+///    completes. `budget` caps the validate passes of all scenarios
+///    together — replaying stored work is free;
 /// 3. seals every pending record into the store, which is the whole
 ///    checkpoint: a resumed run reuses them, and a warm re-run of a
 ///    completed campaign validates zero cases from scratch.
 ///
-/// Scenarios run sequentially, each sharing one in-memory compile cache
-/// and the store's disk tiers. The metrics are byte-identical to the
-/// parallel [`run_campaign`](crate::campaign::run_campaign) either way.
+/// The results are byte-identical to
+/// [`run_campaign`](crate::campaign::run_campaign) over the same matrix
+/// whenever [`CampaignResults::completed`] (modulo [`stage_stats`]'s
+/// exclusions); [`CampaignResults::total_reused`] and
+/// [`CampaignResults::total_fresh`] split the work between the store and
+/// the pipeline. A `Some(0)` budget validates nothing: it reports how much
+/// of the campaign the store already holds.
 ///
 /// # Errors
 ///
@@ -185,186 +181,23 @@ pub fn run_incremental_campaign(
     matrix: &ScenarioMatrix,
     dir: impl AsRef<Path>,
     budget: Option<usize>,
-) -> Result<IncrementalCampaign, StoreError> {
-    let store = ArtifactStore::open_shared(dir)?;
-    let scenarios = matrix.scenarios();
-    let budget = Arc::new(AtomicUsize::new(budget.unwrap_or(usize::MAX)));
-    let cache = CompileCache::shared();
-    let mut results = Vec::with_capacity(scenarios.len());
-    let mut progress = Vec::with_capacity(scenarios.len());
-    let mut completed = true;
-
-    for scenario in &scenarios {
-        let mut metrics = ScenarioMetrics::new(scenario.clone());
-        let mut reused = 0usize;
-        let mut fresh = 0usize;
-        let mut covered = 0usize;
-        let service = scenario.service_with_store(Arc::clone(&cache), &store);
-        let record_store = Arc::clone(
-            service
-                .record_store()
-                .expect("the default backends all state their fingerprints"),
-        );
-        // Scan pass: walk every shard in parallel (the merge laws make the
-        // fold order immaterial), folding already-stored records into
-        // per-shard accumulators and remembering which ids genuinely need
-        // validation.
-        let shard_ids: Vec<usize> = (0..scenario.shards).collect();
-        let scans: Vec<(ScenarioMetrics, HashSet<String>)> = shard_ids
-            .par_iter()
-            .map(|&k| {
-                let mut local = ScenarioMetrics::new(scenario.clone());
-                let mut fresh_ids = HashSet::new();
-                let mut source = scenario.shard_spec(k).source();
-                while let Some(case) = source.next_case() {
-                    let issue = IssueKind::of_case(&case);
-                    let item = WorkItem::from(case);
-                    match record_store.replay(&item) {
-                        Some(record) => {
-                            replay_into(&mut local, issue, &record);
-                            local.stats.store_hits += 1;
-                        }
-                        None => {
-                            fresh_ids.insert(item.id);
-                        }
-                    }
-                }
-                (local, fresh_ids)
-            })
-            .collect();
-        let mut shard_fresh = Vec::with_capacity(scans.len());
-        for (scan, fresh_ids) in scans {
-            metrics.merge(&scan);
-            reused += scan.stats.store_hits;
-            covered += scan.stats.store_hits;
-            shard_fresh.push(fresh_ids);
-        }
-
-        for (k, fresh_ids) in shard_fresh.into_iter().enumerate() {
-            // Validate pass: only the missing cases go through the full
-            // service, which persists them. Skipped entirely on a
-            // fully-warm shard.
-            if fresh_ids.is_empty() || budget.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let source = FreshSource {
-                inner: scenario.shard_spec(k).source(),
-                fresh_ids,
-                budget: Arc::clone(&budget),
-            };
-            let mut shard = ScenarioMetrics::new(scenario.clone());
-            let fold = fold_probed_source(&service, source, |issue, record| {
-                shard.observe(issue, record);
-            });
-            // In-run duplicates can still hit the store inside the
-            // service (a sibling case persisted the record moments
-            // earlier); they count as reused, not fresh.
-            reused += fold.stats.store_hits;
-            fresh += fold.stats.store_misses;
-            covered += fold.stats.submitted;
-            shard.stats = fold.stats;
-            shard.max_in_flight = fold.max_in_flight;
-            metrics.merge(&shard);
-        }
-        if covered < scenario.suite_size {
-            completed = false;
-        }
-        progress.push(ScenarioProgress {
-            label: scenario.label.clone(),
-            reused,
-            fresh,
-        });
-        results.push(metrics);
-    }
-
+) -> Result<CampaignResults, StoreError> {
+    let checkpoint = Checkpoint {
+        store: ArtifactStore::open_shared(dir)?,
+        budget: Arc::new(AtomicUsize::new(budget.unwrap_or(usize::MAX))),
+    };
+    let results = drive_campaign(matrix, Some(&checkpoint));
     // Seal buffered records into a durable segment: the store is the
     // checkpoint, so a seal that fails must fail the run.
-    store.flush()?;
-
-    Ok(IncrementalCampaign {
-        results: CampaignResults { scenarios: results },
-        progress,
-        completed,
-    })
-}
-
-/// Per-scenario delta of a planned campaign against a store's contents.
-#[derive(Clone, Debug)]
-pub struct ScenarioDelta {
-    /// The scenario's comparison-table label.
-    pub label: String,
-    /// Corpus cases whose complete record is already stored.
-    pub reused: usize,
-    /// Corpus cases that would be validated from scratch.
-    pub fresh: usize,
-}
-
-/// What a campaign over `matrix` would actually have to compute, given a
-/// store's current contents. See [`plan_campaign_delta`].
-#[derive(Clone, Debug)]
-pub struct CampaignDelta {
-    /// Per-scenario breakdown, matrix order.
-    pub scenarios: Vec<ScenarioDelta>,
-}
-
-impl CampaignDelta {
-    /// Total already-stored cases across the matrix.
-    pub fn total_reused(&self) -> usize {
-        self.scenarios.iter().map(|s| s.reused).sum()
-    }
-
-    /// Total cases the campaign would validate from scratch.
-    pub fn total_fresh(&self) -> usize {
-        self.scenarios.iter().map(|s| s.fresh).sum()
-    }
-}
-
-/// Diff `matrix`'s corpus key-set against what `store` already holds:
-/// for every scenario, walk its corpus and probe the record store with
-/// the counter-neutral [`contains`](vv_pipeline::RecordStore::contains),
-/// so planning never skews the hit-rate statistics a later run reports.
-/// The answer is exact — the probe uses the same key derivation as the
-/// run itself — and costs one corpus generation pass, no validation.
-pub fn plan_campaign_delta(matrix: &ScenarioMatrix, store: &Arc<ArtifactStore>) -> CampaignDelta {
-    let cache = CompileCache::shared();
-    let scenarios = matrix
-        .scenarios()
-        .iter()
-        .map(|scenario| plan_scenario_delta(scenario, Arc::clone(&cache), store))
-        .collect();
-    CampaignDelta { scenarios }
-}
-
-fn plan_scenario_delta(
-    scenario: &Scenario,
-    cache: Arc<CompileCache>,
-    store: &Arc<ArtifactStore>,
-) -> ScenarioDelta {
-    let service = scenario.service_with_store(cache, store);
-    let record_store = service
-        .record_store()
-        .expect("the default backends all state their fingerprints");
-    let mut source = scenario.corpus_spec().source();
-    let mut reused = 0;
-    let mut fresh = 0;
-    while let Some(case) = source.next_case() {
-        if record_store.contains(&WorkItem::from(case)) {
-            reused += 1;
-        } else {
-            fresh += 1;
-        }
-    }
-    ScenarioDelta {
-        label: scenario.label.clone(),
-        reused,
-        fresh,
-    }
+    checkpoint.store.flush()?;
+    Ok(results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
+    use vv_judge::JudgeProfile;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -399,11 +232,11 @@ mod tests {
     fn cold_run_completes_and_matches_the_plain_campaign() {
         let dir = temp_dir("cold");
         let incremental = run_incremental_campaign(&matrix(), &dir, None).unwrap();
-        assert!(incremental.completed);
+        assert!(incremental.completed());
         assert_eq!(incremental.total_fresh(), 24);
         assert_no_journal(&dir);
         let plain = run_campaign(&matrix());
-        for (a, b) in incremental.results.scenarios.iter().zip(&plain.scenarios) {
+        for (a, b) in incremental.scenarios.iter().zip(&plain.scenarios) {
             assert_same_metrics(a, b);
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -411,47 +244,59 @@ mod tests {
 
     #[test]
     fn budget_abort_then_resume_is_identical_to_uninterrupted() {
-        let dir = temp_dir("resume");
-        // A 16-case budget on a 2x12-shard scenario lands the "crash"
-        // mid-shard-1, with completed cases on both sides of the shard
-        // boundary — the resumed scan pass must reuse all of them.
-        let partial = run_incremental_campaign(&matrix(), &dir, Some(16)).unwrap();
-        assert!(!partial.completed);
-        assert_eq!(partial.total_fresh(), 16);
-        assert_no_journal(&dir);
-        let resumed = run_incremental_campaign(&matrix(), &dir, None).unwrap();
-        assert!(resumed.completed);
-        assert!(resumed.total_reused() >= partial.total_fresh() + partial.total_reused());
-        assert_no_journal(&dir);
-        let uninterrupted =
-            run_incremental_campaign(&matrix(), temp_dir("resume-ref"), None).unwrap();
-        for (a, b) in resumed
-            .results
-            .scenarios
-            .iter()
-            .zip(&uninterrupted.results.scenarios)
-        {
-            assert_same_metrics(a, b);
+        // One scenario, and two that run at once and draw on one budget.
+        let two_profiles = matrix().judge_profiles(vec![
+            JudgeProfile::deepseek_agent_direct(),
+            JudgeProfile::deepseek_agent_indirect(),
+        ]);
+        for (tag, matrix) in [("one", matrix()), ("two", two_profiles)] {
+            let dir = temp_dir(&format!("resume-{tag}"));
+            // A 16-case budget on a 2x12-shard scenario lands the "crash"
+            // mid-shard-1, with completed cases on both sides of the shard
+            // boundary — the resumed scan pass must reuse all of them.
+            let partial = run_incremental_campaign(&matrix, &dir, Some(16)).unwrap();
+            assert!(!partial.completed(), "{tag}");
+            assert_eq!(
+                partial.total_fresh(),
+                16,
+                "{tag}: the budget is campaign-wide"
+            );
+            assert_no_journal(&dir);
+            // A zero budget validates nothing and finds what was stored.
+            let stored = run_incremental_campaign(&matrix, &dir, Some(0)).unwrap();
+            assert!(!stored.completed(), "{tag}");
+            assert_eq!(stored.total_fresh(), 0, "{tag}");
+            assert!(stored.total_reused() >= partial.total_fresh() + partial.total_reused());
+            let resumed = run_incremental_campaign(&matrix, &dir, None).unwrap();
+            assert!(resumed.completed(), "{tag}");
+            assert!(resumed.total_reused() >= partial.total_fresh() + partial.total_reused());
+            assert_no_journal(&dir);
+            let reference_dir = temp_dir(&format!("resume-{tag}-ref"));
+            let uninterrupted = run_incremental_campaign(&matrix, &reference_dir, None).unwrap();
+            assert_eq!(resumed.scenarios.len(), uninterrupted.scenarios.len());
+            for (a, b) in resumed.scenarios.iter().zip(&uninterrupted.scenarios) {
+                assert_same_metrics(a, b);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::remove_dir_all(&reference_dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn warm_rerun_validates_nothing_fresh() {
         let dir = temp_dir("warm");
         let cold = run_incremental_campaign(&matrix(), &dir, None).unwrap();
-        assert!(cold.completed);
-        let store = ArtifactStore::open_shared(&dir).unwrap();
-        let delta = plan_campaign_delta(&matrix(), &store);
-        assert_eq!(delta.total_fresh(), 0);
-        assert_eq!(delta.total_reused(), 24);
-        drop(store);
+        assert!(cold.completed());
+        // A zero budget validates nothing: it only reports what is stored.
+        let stored = run_incremental_campaign(&matrix(), &dir, Some(0)).unwrap();
+        assert!(stored.completed(), "everything is stored");
+        assert_eq!(stored.total_reused(), 24);
         let warm = run_incremental_campaign(&matrix(), &dir, None).unwrap();
-        assert!(warm.completed);
+        assert!(warm.completed());
         assert_eq!(warm.total_fresh(), 0, "every case replays from the store");
         assert_eq!(warm.total_reused(), 24);
         assert_no_journal(&dir);
-        for (a, b) in warm.results.scenarios.iter().zip(&cold.results.scenarios) {
+        for (a, b) in warm.scenarios.iter().zip(&cold.scenarios) {
             assert_same_metrics(a, b);
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -461,12 +306,12 @@ mod tests {
     fn matrix_change_keeps_the_store() {
         let dir = temp_dir("retag");
         let partial = run_incremental_campaign(&matrix(), &dir, Some(6)).unwrap();
-        assert!(!partial.completed);
+        assert!(!partial.completed());
         // A different suite size is a different campaign, but the 6 stored
         // records still hit (same corpus prefix).
         let other = ScenarioMatrix::new(12).shards(2);
         let run = run_incremental_campaign(&other, &dir, None).unwrap();
-        assert!(run.completed);
+        assert!(run.completed());
         assert!(run.total_reused() >= 1, "stored records survive the change");
         assert_no_journal(&dir);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -16,9 +16,10 @@
 //!   one run, every scenario folded into mergeable constant-memory
 //!   accumulators over sharded corpus sources;
 //! * [`incremental`]: checkpoint/resume campaigns over a durable
-//!   `vv-store` artifact store — crashed runs resume from the records the
-//!   store sealed, unchanged cases replay from disk, and a delta planner
-//!   reports what a re-run would actually compute;
+//!   `vv-store` artifact store, driven by the same scenario routine as
+//!   [`run_campaign`] — crashed runs resume from the records the store
+//!   sealed, unchanged cases replay from disk, and a zero-budget run
+//!   reports how much of a campaign the store already holds;
 //! * [`remote`]: submit scenarios to a resident `vv-server` daemon over
 //!   the validation protocol — corpus generated and metrics folded
 //!   locally, validation executed by the server — with results that
@@ -55,10 +56,7 @@ pub use experiment::{
     stream_part_one, stream_part_two, Evaluator, PartOneConfig, PartOneMetrics, PartTwoConfig,
     PartTwoMetrics,
 };
-pub use incremental::{
-    plan_campaign_delta, run_incremental_campaign, stage_stats, CampaignDelta, IncrementalCampaign,
-    ScenarioDelta, ScenarioProgress,
-};
+pub use incremental::{run_incremental_campaign, stage_stats};
 pub use remote::{run_scenario_remote, scenario_job_spec, RemoteError};
 
 // Re-export the substrate crates so downstream users need only one

@@ -97,20 +97,28 @@ pub fn scenario_job_spec(scenario: &Scenario) -> Result<JobSpec, RemoteError> {
 /// aggregate and merge across shards just like local
 /// [`FoldStats`](crate::experiment::FoldStats) do.
 ///
+/// The peer is not trusted: a record under an ordinal that was never
+/// submitted or already came back, a record without a judgement, and a
+/// `JOB_DONE` before every ordinal came back are all
+/// [`ProtocolError::Malformed`].
+///
 /// `max_in_flight` is reported as 0: the in-flight window lives on the
 /// server (its queue bounds and worker pool), not in this client.
 pub fn run_scenario_remote(
     scenario: &Scenario,
     client: &mut Client,
 ) -> Result<ScenarioMetrics, RemoteError> {
+    let malformed =
+        |what| RemoteError::Client(ClientError::Protocol(ProtocolError::Malformed(what)));
     let spec = scenario_job_spec(scenario)?;
     let mut merged = ScenarioMetrics::new(scenario.clone());
     for k in 0..scenario.shards {
         let mut source = scenario.shard_spec(k).source();
-        let mut issues = Vec::new();
+        // The issue of every ordinal still owed an answer.
+        let mut owed = Vec::new();
         let mut items = Vec::new();
         while let Some(case) = source.next_case() {
-            issues.push(IssueKind::of_case(&case));
+            owed.push(Some(IssueKind::of_case(&case)));
             items.push(WorkItem::from(case));
         }
 
@@ -118,10 +126,18 @@ pub fn run_scenario_remote(
         let mut job = client.submit(spec, items)?;
         for result in &mut job {
             let (seq, record) = result?;
-            let issue = *issues.get(seq as usize).ok_or(ClientError::Protocol(
-                ProtocolError::Malformed("record ordinal was never submitted"),
-            ))?;
+            let issue = owed
+                .get_mut(seq as usize)
+                .ok_or_else(|| malformed("record ordinal was never submitted"))?
+                .take()
+                .ok_or_else(|| malformed("record ordinal came back twice"))?;
+            if record.judgement.is_none() {
+                return Err(malformed("record-all record carries no judgement"));
+            }
             shard.observe(issue, &record);
+        }
+        if owed.iter().any(Option::is_some) {
+            return Err(malformed("job finished before every case came back"));
         }
         shard.stats = job.stats().cloned().ok_or(ClientError::Broken)?;
         merged.merge(&shard);
@@ -134,8 +150,8 @@ mod tests {
     use super::*;
     use crate::campaign::{run_scenario, ScenarioMatrix};
     use crate::incremental::stage_stats;
-    use vv_judge::JudgeProfile;
-    use vv_pipeline::{encode_record, CaseRecord, CompileSummary};
+    use vv_judge::{JudgeOutcome, JudgeProfile, Verdict};
+    use vv_pipeline::{encode_record, CaseRecord, CompileSummary, PipelineStats};
     use vv_server::protocol::{read_frame, write_frame, Response};
     use vv_server::{duplex, PipeEnd, Server, ServerConfig, PROTOCOL_VERSION};
 
@@ -174,9 +190,10 @@ mod tests {
         assert_eq!(remote.cases(), local.cases());
     }
 
-    /// A scripted peer: answers the handshake, then echoes one record under
-    /// an ordinal no client submitted, and drains until the client hangs up.
-    fn echo_a_stray_ordinal(mut conn: PipeEnd) {
+    /// A scripted peer: answers the handshake and the job's opening with
+    /// `answers`, then drains until the client hangs up. A client that
+    /// rejects an answer may hang up before the rest are written.
+    fn answer_with(mut conn: PipeEnd, answers: Vec<Response>) {
         let mut buf = Vec::new();
         assert!(read_frame(&mut conn, &mut buf).expect("HELLO"));
         let hello = Response::HelloOk {
@@ -185,8 +202,18 @@ mod tests {
         };
         write_frame(&mut conn, &hello.encode()).expect("HELLO_OK");
         assert!(read_frame(&mut conn, &mut buf).expect("OPEN_JOB"));
+        for answer in &answers {
+            if write_frame(&mut conn, &answer.encode()).is_err() {
+                return;
+            }
+        }
+        while let Ok(true) = read_frame(&mut conn, &mut buf) {}
+    }
+
+    /// A RECORD of job 1 under ordinal `seq`, judged or not.
+    fn record(seq: u64, judged: bool) -> Response {
         let record = CaseRecord {
-            id: "stray".into(),
+            id: format!("case-{seq}"),
             compile: CompileSummary {
                 return_code: 0,
                 stdout: "".into(),
@@ -194,28 +221,52 @@ mod tests {
                 succeeded: true,
             },
             exec: None,
-            judgement: None,
+            judgement: judged.then(|| JudgeOutcome {
+                prompt: "".into(),
+                response: "".into(),
+                verdict: Some(Verdict::Valid),
+                prompt_tokens: 1,
+                response_tokens: 1,
+                latency_ms: 1.0,
+            }),
         };
-        let stray = Response::Record {
+        Response::Record {
             job: 1,
-            seq: 1 << 40,
+            seq,
             record: encode_record(&record),
-        };
-        write_frame(&mut conn, &stray.encode()).expect("RECORD");
-        while let Ok(true) = read_frame(&mut conn, &mut buf) {}
+        }
+    }
+
+    fn job_done() -> Response {
+        Response::JobDone {
+            job: 1,
+            stats: PipelineStats::default(),
+        }
     }
 
     #[test]
     fn an_out_of_range_record_ordinal_is_an_error_not_a_panic() {
-        let scenario = tiny_matrix().scenarios().remove(0);
-        let (client_end, server_end) = duplex(64 * 1024);
-        let peer = std::thread::spawn(move || echo_a_stray_ordinal(server_end));
-        let mut client = Client::over(Box::new(client_end), "remote-test").unwrap();
-        match run_scenario_remote(&scenario, &mut client) {
-            Err(RemoteError::Client(ClientError::Protocol(ProtocolError::Malformed(_)))) => {}
-            other => panic!("expected a malformed-message error, got {other:?}"),
+        // Every script ends in JOB_DONE, so a client that trusts the peer
+        // returns instead of waiting for more answers.
+        let hostile = [
+            ("a stray ordinal", vec![record(1 << 40, true)]),
+            ("an early JOB_DONE", vec![record(0, true)]),
+            ("a repeated ordinal", vec![record(0, true); 3]),
+            ("a record without a judgement", vec![record(0, false)]),
+        ];
+        for (what, mut answers) in hostile {
+            answers.push(job_done());
+            // One 8-case shard: one job.
+            let scenario = ScenarioMatrix::new(8).scenarios().remove(0);
+            let (client_end, server_end) = duplex(64 * 1024);
+            let peer = std::thread::spawn(move || answer_with(server_end, answers));
+            let mut client = Client::over(Box::new(client_end), "remote-test").unwrap();
+            match run_scenario_remote(&scenario, &mut client) {
+                Err(RemoteError::Client(ClientError::Protocol(ProtocolError::Malformed(_)))) => {}
+                other => panic!("{what}: expected a malformed-message error, got {other:?}"),
+            }
+            drop(client);
+            peer.join().expect("scripted peer");
         }
-        drop(client);
-        peer.join().expect("scripted peer");
     }
 }

@@ -204,13 +204,6 @@ impl RecordStore {
         key
     }
 
-    /// True when a record for this item is already stored. Uses the
-    /// counter-neutral probe, so delta planning never skews hit rates.
-    pub fn contains(&self, item: &WorkItem) -> bool {
-        let key = self.key_of(item);
-        self.store.contains(kind::CASE, fnv1a(&key), &key)
-    }
-
     /// Fetch and decode the stored record for an item, re-labeled with the
     /// item's id. Counts a store hit or miss; an undecodable value counts
     /// as a miss and as undecodable.
@@ -346,9 +339,9 @@ mod tests {
         let stored = record(true, true);
         a.persist(&item, &stored);
         // Same mode+fingerprints hit; different mode or fingerprint miss.
-        assert!(a.contains(&item));
-        assert!(!b.contains(&item));
-        assert!(!c.contains(&item));
+        assert!(a.replay(&item).is_some());
+        assert!(b.replay(&item).is_none());
+        assert!(c.replay(&item).is_none());
         // The hit is re-labeled with the *requesting* item's id.
         let relabeled = WorkItem {
             id: "renamed".into(),

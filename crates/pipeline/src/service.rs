@@ -311,9 +311,9 @@ impl ValidationService {
     }
 
     /// The whole-record persistence layer, when active (an artifact store
-    /// was attached and every stage backend stated a fingerprint). The
-    /// campaign delta planner probes this to split a corpus into
-    /// already-stored and fresh work.
+    /// was attached and every stage backend stated a fingerprint). An
+    /// incremental campaign's scan pass replays from this to split a
+    /// corpus into already-stored and fresh work.
     pub fn record_store(&self) -> Option<&Arc<RecordStore>> {
         self.stages.record_store.as_ref()
     }

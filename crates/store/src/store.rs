@@ -332,9 +332,9 @@ impl ArtifactStore {
         self.undecodable.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Membership probe that does not touch the hit/miss counters (used by
-    /// delta planners to diff a key-set against the store without skewing
-    /// the run's hit-rate accounting).
+    /// Membership probe that does not touch the hit/miss counters, so
+    /// diffing a key-set against the store never skews a run's hit-rate
+    /// accounting.
     pub fn contains(&self, kind: u8, addr: u64, key: &[u8]) -> bool {
         let inner = self.lock();
         inner

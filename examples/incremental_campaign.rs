@@ -25,9 +25,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use llm4vv::campaign::ScenarioMatrix;
-use llm4vv::incremental::{plan_campaign_delta, run_incremental_campaign, stage_stats};
+use llm4vv::incremental::{run_incremental_campaign, stage_stats};
 use vv_judge::JudgeProfile;
-use vv_store::ArtifactStore;
 
 fn main() {
     let size: usize = std::env::args()
@@ -55,7 +54,7 @@ fn main() {
     let started = Instant::now();
     let cold = run_incremental_campaign(&matrix, &cold_dir, None).expect("cold run");
     let cold_time = started.elapsed();
-    assert!(cold.completed);
+    assert!(cold.completed());
     // The store pays off *within* the cold run already: duplicate-source
     // cases hit the record a sibling persisted moments earlier.
     assert_eq!(cold.total_fresh() + cold.total_reused(), total);
@@ -72,7 +71,7 @@ fn main() {
     let budget = total / 3;
     println!("phase 2: crash after {budget} validations, then resume...");
     let crashed = run_incremental_campaign(&matrix, &crash_dir, Some(budget)).expect("aborted run");
-    assert!(!crashed.completed, "the budget interrupts the campaign");
+    assert!(!crashed.completed(), "the budget interrupts the campaign");
     assert!(
         crashed.total_fresh() <= budget,
         "the budget caps fresh validations"
@@ -82,7 +81,7 @@ fn main() {
         "some work happened before the crash"
     );
     let resumed = run_incremental_campaign(&matrix, &crash_dir, None).expect("resumed run");
-    assert!(resumed.completed);
+    assert!(resumed.completed());
     assert!(
         resumed.total_reused() >= crashed.total_fresh() + crashed.total_reused(),
         "the resumed run reuses everything the aborted run stored"
@@ -92,12 +91,7 @@ fn main() {
         resumed.total_reused(),
         resumed.total_fresh()
     );
-    for (interrupted, baseline) in resumed
-        .results
-        .scenarios
-        .iter()
-        .zip(&cold.results.scenarios)
-    {
+    for (interrupted, baseline) in resumed.scenarios.iter().zip(&cold.scenarios) {
         assert_eq!(interrupted.judge, baseline.judge);
         assert_eq!(interrupted.pipeline, baseline.pipeline);
         assert_eq!(interrupted.judge_load, baseline.judge_load);
@@ -108,20 +102,20 @@ fn main() {
     }
     println!("  crash + resume is byte-identical to the uninterrupted run\n");
 
-    // Phase 3: warm re-run of the cold store. The delta planner predicts
-    // zero fresh work; the run confirms it.
+    // Phase 3: warm re-run of the cold store. A zero-budget run, which
+    // validates nothing, finds the whole campaign stored; the full run
+    // confirms it does no fresh work.
     println!("phase 3: warm re-run over the cold store...");
-    let store = ArtifactStore::open_shared(&cold_dir).expect("reopen store");
-    let delta = plan_campaign_delta(&matrix, &store);
-    assert_eq!(delta.total_fresh(), 0, "planner: everything is stored");
-    drop(store);
+    let stored = run_incremental_campaign(&matrix, &cold_dir, Some(0)).expect("zero-budget run");
+    assert!(stored.completed(), "everything is stored");
+    assert_eq!(stored.total_reused(), total);
     let started = Instant::now();
     let warm = run_incremental_campaign(&matrix, &cold_dir, None).expect("warm run");
     let warm_time = started.elapsed();
-    assert!(warm.completed);
+    assert!(warm.completed());
     assert_eq!(warm.total_fresh(), 0, "zero fresh validations");
     assert_eq!(warm.total_reused(), total);
-    for (rerun, baseline) in warm.results.scenarios.iter().zip(&cold.results.scenarios) {
+    for (rerun, baseline) in warm.scenarios.iter().zip(&cold.scenarios) {
         assert_eq!(rerun.judge, baseline.judge);
         assert_eq!(rerun.pipeline, baseline.pipeline);
     }
@@ -141,5 +135,5 @@ fn main() {
         println!("fsck {}: clean ({} records)", dir.display(), report.records);
     }
 
-    println!("\n{}", warm.results.comparison_table());
+    println!("\n{}", warm.comparison_table());
 }

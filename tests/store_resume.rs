@@ -21,7 +21,7 @@
 //!    unlisted one as an orphan, and the resumed campaign is again
 //!    byte-identical to the uninterrupted and plain runs;
 //! 5. **Warm re-run** — re-running a completed campaign validates zero
-//!    fresh cases, exactly as the delta planner predicts.
+//!    fresh cases, exactly as a zero-budget run predicts.
 //!
 //! No campaign leaves anything but the store in its directory.
 //!
@@ -32,9 +32,7 @@
 use std::path::{Path, PathBuf};
 
 use llm4vv::campaign::{run_campaign, CampaignResults, ScenarioMatrix};
-use llm4vv::incremental::{
-    plan_campaign_delta, run_incremental_campaign, stage_stats, IncrementalCampaign,
-};
+use llm4vv::incremental::{run_incremental_campaign, stage_stats};
 use vv_judge::JudgeProfile;
 use vv_store::{check, fnv1a, kind, ArtifactStore};
 
@@ -102,14 +100,14 @@ fn frame_starts(file: &[u8]) -> Vec<usize> {
 /// run into a fresh store (`ref_tag` names its directory) and the plain
 /// in-memory campaign.
 struct Reference {
-    uninterrupted: IncrementalCampaign,
+    uninterrupted: CampaignResults,
     plain: CampaignResults,
 }
 
 fn reference(matrix: &ScenarioMatrix, ref_tag: &str) -> Reference {
     let ref_dir = temp_dir(ref_tag);
     let uninterrupted = run_incremental_campaign(matrix, &ref_dir, None).expect("baseline");
-    assert!(uninterrupted.completed);
+    assert!(uninterrupted.completed());
     assert_fsck_clean(&ref_dir);
     std::fs::remove_dir_all(&ref_dir).expect("cleanup");
     Reference {
@@ -120,12 +118,11 @@ fn reference(matrix: &ScenarioMatrix, ref_tag: &str) -> Reference {
 
 /// A resumed campaign agrees with the reference runs, scenario by
 /// scenario.
-fn assert_identical_to_reference(resumed: &IncrementalCampaign, reference: &Reference) {
+fn assert_identical_to_reference(resumed: &CampaignResults, reference: &Reference) {
     for ((resumed, baseline), plain) in resumed
-        .results
         .scenarios
         .iter()
-        .zip(&reference.uninterrupted.results.scenarios)
+        .zip(&reference.uninterrupted.scenarios)
         .zip(&reference.plain.scenarios)
     {
         for other in [baseline, plain] {
@@ -234,10 +231,10 @@ fn interrupted_resumed_campaign_is_byte_identical_to_uninterrupted_and_plain() {
     // Interrupted at a third of the validations, then resumed.
     let dir = temp_dir("resume");
     let partial = run_incremental_campaign(&matrix, &dir, Some(budget)).expect("partial");
-    assert!(!partial.completed, "the budget interrupts mid-campaign");
+    assert!(!partial.completed(), "the budget interrupts mid-campaign");
     assert_no_journal(&dir);
     let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
-    assert!(resumed.completed);
+    assert!(resumed.completed());
     assert!(
         resumed.total_reused() >= partial.total_fresh() + partial.total_reused(),
         "every case the interrupted run covered is reused from the store"
@@ -254,7 +251,7 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
     let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
     let dir = temp_dir("torn-resume");
     let partial = run_incremental_campaign(&matrix, &dir, Some(total / 3)).expect("partial");
-    assert!(!partial.completed, "the budget interrupts mid-campaign");
+    assert!(!partial.completed(), "the budget interrupts mid-campaign");
 
     // Tear the last sealed segment inside its middle record, as a crash
     // mid-write would (segment names sort in seal order).
@@ -280,7 +277,7 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
     assert!(!check(&dir).expect("fsck").clean(), "the tear is visible");
 
     let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
-    assert!(resumed.completed);
+    assert!(resumed.completed());
     assert_eq!(resumed.total_fresh() + resumed.total_reused(), total);
     assert!(resumed.total_reused() > 0, "the intact records are reused");
 
@@ -295,7 +292,7 @@ fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically()
     let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
     let master = temp_dir("manifest-master");
     let partial = run_incremental_campaign(&matrix, &master, Some(total / 3)).expect("partial");
-    assert!(!partial.completed, "the budget interrupts mid-campaign");
+    assert!(!partial.completed(), "the budget interrupts mid-campaign");
     let manifest = std::fs::read(master.join("manifest.vvs")).expect("read manifest");
     let frames = frame_starts(&manifest);
     assert!(
@@ -331,7 +328,7 @@ fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically()
         drop(store);
 
         let resumed = run_incremental_campaign(&matrix, &dir, None).expect("resume");
-        assert!(resumed.completed);
+        assert!(resumed.completed());
         assert_eq!(resumed.total_fresh() + resumed.total_reused(), total);
         assert_identical_to_reference(&resumed, &reference);
         // The resumed run's first seal took the orphan's name.
@@ -342,26 +339,25 @@ fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically()
 }
 
 #[test]
-fn warm_rerun_validates_nothing_and_matches_the_planner() {
+fn warm_rerun_validates_nothing_and_matches_a_zero_budget_run() {
     let matrix = campaign_matrix();
     let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
     let dir = temp_dir("warm");
 
     let cold = run_incremental_campaign(&matrix, &dir, None).expect("cold");
-    assert!(cold.completed);
+    assert!(cold.completed());
 
-    let store = ArtifactStore::open_shared(&dir).expect("reopen");
-    let delta = plan_campaign_delta(&matrix, &store);
-    assert_eq!(delta.total_fresh(), 0, "planner: everything is stored");
-    assert_eq!(delta.total_reused(), total);
-    drop(store);
+    // A zero budget validates nothing: it reports what the store holds.
+    let stored = run_incremental_campaign(&matrix, &dir, Some(0)).expect("zero budget");
+    assert!(stored.completed(), "everything is stored");
+    assert_eq!(stored.total_reused(), total);
 
     let warm = run_incremental_campaign(&matrix, &dir, None).expect("warm");
-    assert!(warm.completed);
+    assert!(warm.completed());
     assert_eq!(warm.total_fresh(), 0, "zero fresh validations");
     assert_eq!(warm.total_reused(), total);
     assert_no_journal(&dir);
-    for (warm, cold) in warm.results.scenarios.iter().zip(&cold.results.scenarios) {
+    for (warm, cold) in warm.scenarios.iter().zip(&cold.scenarios) {
         assert_eq!(warm.judge, cold.judge);
         assert_eq!(warm.pipeline, cold.pipeline);
         assert_eq!(warm.judge_load, cold.judge_load);
