@@ -13,7 +13,7 @@
 //!
 //! The default implementations wrap the simulated substrates the paper's
 //! reproduction is built on: [`SimCompileBackend`] (vv-simcompiler, through
-//! per-worker [`CompileSession`]s around one shared content-addressed
+//! pooled [`CompileSession`]s around one shared content-addressed
 //! [`CompileCache`]), [`SimExecBackend`] (vv-simexec) and
 //! [`SurrogateJudgeBackend`] (vv-judge's calibrated surrogate model, fed the
 //! code signals the compile stage precomputed).
@@ -121,8 +121,16 @@ pub trait JudgeBackend: Send + Sync {
 
 /// Default compile backend: the simulated vendor compiler selected by the
 /// item's [`vv_dclang::DirectiveModel`], driven through reusable
-/// [`CompileSession`]s (one per concurrent worker, checked in and out of a
-/// small pool) that share a content-addressed [`CompileCache`].
+/// [`CompileSession`]s that share a content-addressed [`CompileCache`].
+///
+/// Every [`CompileBackend::compile`] call checks a session for the item's
+/// model out of a per-model pool (building one when the pool is empty)
+/// and checks it back in, so the pool holds about one session per
+/// concurrent caller and each keeps the interner and scratch buffers it
+/// warmed up. A session whose interner grew past `MAX_SESSION_SYMBOLS`
+/// is retired instead of checked in. Sessions carry no outcome: every
+/// memoized result lives in the shared cache, so which session compiles
+/// an item never changes its output.
 ///
 /// Cache hits return the memoized outcome object — byte-identical to a
 /// fresh compile by construction (the compiler is deterministic and the key
@@ -140,7 +148,7 @@ pub struct SimCompileBackend {
 /// Sessions whose interner grew past this many distinct spellings are
 /// retired instead of returned to the pool (pathological corpora with
 /// unbounded fresh identifiers would otherwise grow the table forever).
-pub(crate) const MAX_SESSION_SYMBOLS: usize = 1 << 20;
+const MAX_SESSION_SYMBOLS: usize = 1 << 20;
 
 impl Default for SimCompileBackend {
     /// Caching backend with the default cache capacity.
@@ -179,14 +187,9 @@ impl SimCompileBackend {
         }
     }
 
-    /// Check a session for `model` out of the pool (building a fresh one
-    /// when the pool is empty). Long-lived compile workers lease a session
-    /// once and drive it through [`SimCompileBackend::compile_with`] for
-    /// their whole run instead of checking in and out per item — each
-    /// executor worker keeps one leased session per model, so the per-case
-    /// path never touches the pool lock. Pair with
-    /// [`SimCompileBackend::return_session`] when the worker retires.
-    pub fn take_session(&self, model: DirectiveModel) -> CompileSession {
+    /// Check a session for `model` out of the pool, building a fresh one
+    /// when the pool is empty.
+    fn take_session(&self, model: DirectiveModel) -> CompileSession {
         let mut pools = self
             .sessions
             .lock()
@@ -203,10 +206,9 @@ impl SimCompileBackend {
         }
     }
 
-    /// Return a leased session to the pool, so the interner and buffers it
-    /// warmed up serve the next lease. Oversized sessions are retired
-    /// instead.
-    pub fn return_session(&self, model: DirectiveModel, session: CompileSession) {
+    /// Check a session back in, so the interner and buffers it warmed up
+    /// serve the next compile. Oversized sessions are retired instead.
+    fn return_session(&self, model: DirectiveModel, session: CompileSession) {
         if session.interner().len() > MAX_SESSION_SYMBOLS {
             return; // retire it; a fresh one is built on demand
         }
@@ -216,14 +218,13 @@ impl SimCompileBackend {
             .unwrap_or_else(|poison| poison.into_inner());
         pools.entry(model).or_default().push(session);
     }
+}
 
-    /// Compile one item through a caller-held session (leased for
-    /// `item.model` via [`SimCompileBackend::take_session`]), bypassing the
-    /// pool entirely. Byte-identical to [`CompileBackend::compile`] — the
-    /// session only carries the interner and scratch buffers; every
-    /// memoized outcome lives in the shared cache.
-    pub fn compile_with(&self, session: &mut CompileSession, item: &WorkItem) -> CompileOutput {
+impl CompileBackend for SimCompileBackend {
+    fn compile(&self, item: &WorkItem) -> CompileOutput {
+        let mut session = self.take_session(item.model);
         let (outcome, fetch) = session.compile_classified(&item.source, item.lang);
+        self.return_session(item.model, session);
         // Derive the judge's code signals once per distinct source: the
         // outcome's analysis slot is shared by every cache hit.
         let signals = outcome
@@ -241,15 +242,6 @@ impl SimCompileBackend {
             signals: Some(signals),
             fetch: self.cache.is_some().then_some(fetch),
         }
-    }
-}
-
-impl CompileBackend for SimCompileBackend {
-    fn compile(&self, item: &WorkItem) -> CompileOutput {
-        let mut session = self.take_session(item.model);
-        let output = self.compile_with(&mut session, item);
-        self.return_session(item.model, session);
-        output
     }
 
     fn name(&self) -> &'static str {
@@ -586,18 +578,21 @@ int main() {
     }
 
     #[test]
-    fn leased_sessions_compile_identically_to_the_pool_path() {
+    fn pooled_sessions_compile_identically_to_fresh_ones() {
+        // The second compile reuses the session the first checked in,
+        // interner and all; the uncached backend builds a new one.
         let backend = SimCompileBackend::default();
-        let work = item(VALID_ACC);
-        let mut session = backend.take_session(work.model);
-        let leased = backend.compile_with(&mut session, &work);
-        backend.return_session(work.model, session);
+        let _ = backend.compile(&item(VALID_ACC));
+        let work = item("int main() { int spare = 3; return spare - 3; }");
         let pooled = backend.compile(&work);
-        assert_eq!(leased.summary, pooled.summary);
+        let fresh = SimCompileBackend::uncached().compile(&work);
+        assert_eq!(pooled.summary, fresh.summary);
         assert_eq!(
-            leased.signals.as_deref().map(|s| format!("{s:?}")),
-            pooled.signals.as_deref().map(|s| format!("{s:?}"))
+            pooled.signals.as_deref().map(|s| format!("{s:?}")),
+            fresh.signals.as_deref().map(|s| format!("{s:?}"))
         );
+        let pools = backend.sessions.lock().unwrap();
+        assert_eq!(pools[&work.model].len(), 1, "one session served both");
     }
 
     #[test]

@@ -40,15 +40,17 @@
 //!
 //! # No shared mutable hot state
 //!
-//! Per-case work touches no shared lock: each worker accumulates a
-//! private [`PipelineStats`] merged into the run's aggregate when the
-//! worker retires (exact under the accumulator-merge law), and each
-//! worker leases its own `CompileSession`s (returned to the backend's
-//! pool at exit). The compile cache the sessions share is internally
-//! sharded ([`vv_simcompiler::DEFAULT_CACHE_SHARDS`] ways) with per-shard
-//! locks and counters. What remains shared is the input lock, taken once
-//! per admission run, and the ring, taken once per record by a worker and
-//! once per drained batch by the consumer.
+//! Each worker accumulates a private [`PipelineStats`] merged into the
+//! run's aggregate when the worker retires (exact under the
+//! accumulator-merge law), so the counters take no shared lock. Every
+//! compile goes through [`crate::CompileBackend::compile`]; the default
+//! backend checks a `CompileSession` out of its pool and back in, two
+//! short critical sections per case on the pool lock. The compile cache
+//! the sessions share is internally sharded
+//! ([`vv_simcompiler::DEFAULT_CACHE_SHARDS`] ways) with per-shard locks
+//! and counters. The input lock is taken once per admission run, and the
+//! ring once per record by a worker and once per drained batch by the
+//! consumer.
 //!
 //! # Wakeups
 //!
@@ -78,7 +80,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::stage::{Leases, Stages};
+use crate::stage::Stages;
 use crate::stats::PipelineStats;
 use crate::{CaseRecord, WorkItem};
 
@@ -390,14 +392,13 @@ impl Core {
     }
 }
 
-/// Per-worker private state, cleaned up through `Drop` so sessions return
-/// to the pool and partial statistics merge even when a backend panics —
-/// and so a panic cancels the run instead of leaving the other workers
-/// and the consumer waiting for an ordinal that will never emit.
+/// Per-worker private state, cleaned up through `Drop` so partial
+/// statistics merge even when a backend panics — and so a panic cancels
+/// the run instead of leaving the other workers and the consumer waiting
+/// for an ordinal that will never emit.
 struct WorkerState {
     core: Arc<Core>,
     local: PipelineStats,
-    leases: Leases,
 }
 
 impl Drop for WorkerState {
@@ -405,7 +406,6 @@ impl Drop for WorkerState {
         if std::thread::panicking() {
             self.core.cancel();
         }
-        self.core.stages.release(&mut self.leases);
         self.core.stats.lock().merge(&self.local);
     }
 }
@@ -416,7 +416,6 @@ fn worker(core: Arc<Core>) {
     let mut state = WorkerState {
         core: Arc::clone(&core),
         local: PipelineStats::default(),
-        leases: Leases::new(),
     };
     let mut run = Run::with_capacity(core.batch);
     while core.admit(&mut run) {
@@ -425,7 +424,7 @@ fn worker(core: Arc<Core>) {
                 return;
             }
             state.local.submitted += 1;
-            let record = core.stages.run(&item, &mut state.leases, &mut state.local);
+            let record = core.stages.run(&item, &mut state.local);
             core.emit(seq, record);
         }
     }

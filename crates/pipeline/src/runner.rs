@@ -3,62 +3,22 @@
 //! The runner logic lives in [`crate::service`]; this module keeps the
 //! [`PipelineRun`] result type.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
 use crate::stats::PipelineStats;
 use crate::CaseRecord;
 
 /// The result of running a validation service over a batch of files.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PipelineRun {
     /// One record per submitted file, in submission order.
     pub records: Vec<CaseRecord>,
     /// Aggregate statistics.
     pub stats: PipelineStats,
-    /// Lazily built id → index map backing [`PipelineRun::record`].
-    index: OnceLock<HashMap<String, usize>>,
-}
-
-impl Clone for PipelineRun {
-    fn clone(&self) -> Self {
-        // The lookup index is cheap to rebuild and internally references
-        // `records` by position, so a clone starts with a fresh one.
-        Self::new(self.records.clone(), self.stats.clone())
-    }
 }
 
 impl PipelineRun {
     /// Assemble a run result.
     pub fn new(records: Vec<CaseRecord>, stats: PipelineStats) -> Self {
-        Self {
-            records,
-            stats,
-            index: OnceLock::new(),
-        }
-    }
-
-    /// Look up a record by case id in O(1) (the index over all ids is built
-    /// once, on first use). For duplicate ids the first record wins,
-    /// matching the linear scan this replaces.
-    pub fn record(&self, id: &str) -> Option<&CaseRecord> {
-        let index = self.index.get_or_init(|| {
-            let mut map = HashMap::with_capacity(self.records.len());
-            for (position, record) in self.records.iter().enumerate() {
-                map.entry(record.id.clone()).or_insert(position);
-            }
-            map
-        });
-        match index
-            .get(id)
-            .and_then(|&position| self.records.get(position))
-        {
-            Some(record) if record.id == id => Some(record),
-            // `records` is a public field, so it may have been reordered or
-            // truncated after the index was built; fall back to the scan
-            // the index replaces rather than return a wrong record.
-            _ => self.records.iter().find(|record| record.id == id),
-        }
+        Self { records, stats }
     }
 }
 
@@ -269,31 +229,6 @@ mod tests {
         let first = stream.next();
         assert!(first.is_some());
         drop(stream); // must not deadlock or leak blocked workers
-    }
-
-    #[test]
-    fn record_lookup_is_available_and_first_wins() {
-        let (items, _) = probed_items(DirectiveModel::OpenAcc, 10, 2);
-        let lookup_id = items[4].id.clone();
-        let run = ValidationService::builder().build().run(items);
-        let record = run.record(&lookup_id).expect("known id resolves");
-        assert_eq!(record.id, lookup_id);
-        assert!(run.record("no-such-case").is_none());
-        // The clone rebuilds its index lazily and agrees with the original.
-        let cloned = run.clone();
-        assert_eq!(cloned.record(&lookup_id).map(|r| &r.id), Some(&lookup_id));
-        // Mutating the public `records` field after a lookup must not
-        // produce wrong answers or panics from the stale index.
-        let mut mutated = run;
-        mutated.records.reverse();
-        let tail_id = mutated.records.last().expect("non-empty").id.clone();
-        assert_eq!(mutated.record(&tail_id).map(|r| &r.id), Some(&tail_id));
-        // Truncation drops `tail_id` (it sorted to the end after reverse):
-        // the stale index must report it gone, not panic or mis-resolve.
-        mutated.records.truncate(2);
-        assert!(mutated.record(&tail_id).is_none());
-        let kept_id = mutated.records[0].id.clone();
-        assert_eq!(mutated.record(&kept_id).map(|r| &r.id), Some(&kept_id));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::backend::{
 use crate::parallel::Executor;
 use crate::persist::RecordStore;
 use crate::runner::PipelineRun;
-use crate::stage::{Leases, Stages};
+use crate::stage::Stages;
 use crate::stats::PipelineStats;
 use crate::{CaseRecord, PipelineConfig, PipelineMode, WorkItem};
 use vv_corpus::CaseSource;
@@ -94,10 +94,6 @@ pub struct ValidationServiceBuilder {
     config: PipelineConfig,
     strategy: ExecutionStrategy,
     compile: Option<Arc<dyn CompileBackend>>,
-    /// Concrete handle kept alongside `compile` when the compile backend is
-    /// the default simulated one, so the executor's workers can lease
-    /// per-worker sessions instead of round-tripping the pool per case.
-    sim_compile: Option<Arc<SimCompileBackend>>,
     exec: Option<Arc<dyn ExecBackend>>,
     judge: Option<Arc<dyn JudgeBackend>>,
     store: Option<Arc<ArtifactStore>>,
@@ -146,16 +142,6 @@ impl ValidationServiceBuilder {
     /// Plug in a custom compile backend.
     pub fn compile_backend(mut self, backend: impl CompileBackend + 'static) -> Self {
         self.compile = Some(Arc::new(backend));
-        self.sim_compile = None;
-        self
-    }
-
-    /// Plug in a simulated compile backend, keeping the concrete handle so
-    /// the executor's workers can lease per-worker sessions.
-    fn sim_compile_backend(mut self, backend: SimCompileBackend) -> Self {
-        let backend = Arc::new(backend);
-        self.sim_compile = Some(Arc::clone(&backend));
-        self.compile = Some(backend);
         self
     }
 
@@ -164,7 +150,7 @@ impl ValidationServiceBuilder {
     /// scenarios of a campaign that re-run identical corpus shards — can
     /// share one cache and compile each distinct source once between them.
     pub fn compile_cache(self, cache: Arc<CompileCache>) -> Self {
-        self.sim_compile_backend(SimCompileBackend::cached(cache))
+        self.compile_backend(SimCompileBackend::cached(cache))
     }
 
     /// Compile through a two-tier persistent cache (memory over a durable
@@ -172,7 +158,7 @@ impl ValidationServiceBuilder {
     /// the compile stage — pair it with [`Self::artifact_store`] (usually
     /// over the same store) for whole-record persistence.
     pub fn persistent_compile(self, persist: Arc<PersistentCache>) -> Self {
-        self.sim_compile_backend(SimCompileBackend::persistent(persist))
+        self.compile_backend(SimCompileBackend::persistent(persist))
     }
 
     /// Pace the judge stage: sleep `latency_ms × scale` after every
@@ -228,22 +214,16 @@ impl ValidationServiceBuilder {
         let exec = self
             .exec
             .unwrap_or_else(|| Arc::new(SimExecBackend::default()));
-        let mut sim_compile = self.sim_compile;
-        let compile: Arc<dyn CompileBackend> = match self.compile {
-            Some(backend) => backend,
-            None => {
-                let cache = CompileCache::shared();
-                let backend = Arc::new(match &self.store {
-                    Some(store) => SimCompileBackend::persistent(Arc::new(PersistentCache::new(
-                        cache,
-                        Arc::clone(store),
-                    ))),
-                    None => SimCompileBackend::cached(cache),
-                });
-                sim_compile = Some(Arc::clone(&backend));
-                backend
-            }
-        };
+        let compile = self.compile.unwrap_or_else(|| {
+            let cache = CompileCache::shared();
+            Arc::new(match &self.store {
+                Some(store) => SimCompileBackend::persistent(Arc::new(PersistentCache::new(
+                    cache,
+                    Arc::clone(store),
+                ))),
+                None => SimCompileBackend::cached(cache),
+            })
+        });
         // Whole-record persistence requires every stage to pin its
         // configuration; one abstaining backend disables the layer.
         let record_store = self.store.as_ref().and_then(|store| {
@@ -262,7 +242,6 @@ impl ValidationServiceBuilder {
             stages: Arc::new(Stages {
                 mode: self.config.mode,
                 compile,
-                sim_compile,
                 exec,
                 judge,
                 record_store,
@@ -385,9 +364,7 @@ impl ValidationService {
     /// whatever thread or order an external scheduler picks.
     pub fn process_case(&self, item: &WorkItem, stats: &Mutex<PipelineStats>) -> CaseRecord {
         let mut local = PipelineStats::default();
-        let mut leases = Leases::new();
-        let record = self.stages.run(item, &mut leases, &mut local);
-        self.stages.release(&mut leases);
+        let record = self.stages.run(item, &mut local);
         stats.lock().merge(&local);
         record
     }

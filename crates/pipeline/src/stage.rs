@@ -9,16 +9,11 @@
 //! thread. Both therefore produce the same record for the same item,
 //! whatever the schedule.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use vv_dclang::DirectiveModel;
-use vv_simcompiler::{CompileFetch, CompileSession};
+use vv_simcompiler::CompileFetch;
 
-use crate::backend::{
-    CompileBackend, CompileOutput, ExecBackend, JudgeBackend, SimCompileBackend,
-    MAX_SESSION_SYMBOLS,
-};
+use crate::backend::{CompileBackend, CompileOutput, ExecBackend, JudgeBackend};
 use crate::persist::RecordStore;
 use crate::stats::PipelineStats;
 use crate::{CaseRecord, PipelineMode, WorkItem};
@@ -27,10 +22,6 @@ use crate::{CaseRecord, PipelineMode, WorkItem};
 pub(crate) struct Stages {
     pub(crate) mode: PipelineMode,
     pub(crate) compile: Arc<dyn CompileBackend>,
-    /// The concrete default backend when the service is running one, which
-    /// unlocks per-worker session leases; `None` falls back to the
-    /// object-safe per-call path.
-    pub(crate) sim_compile: Option<Arc<SimCompileBackend>>,
     pub(crate) exec: Arc<dyn ExecBackend>,
     pub(crate) judge: Arc<dyn JudgeBackend>,
     /// Whole-record persistence, when an artifact store is attached and
@@ -38,22 +29,12 @@ pub(crate) struct Stages {
     pub(crate) record_store: Option<Arc<RecordStore>>,
 }
 
-/// Compile sessions leased per model by one caller, so consecutive
-/// compiles skip the backend's pool; hand them back with
-/// [`Stages::release`].
-pub(crate) type Leases = HashMap<DirectiveModel, CompileSession>;
-
 impl Stages {
     /// Every stage of `item` on the calling thread, counted into `stats`.
     /// A stored record replays into the stats and skips every stage;
     /// otherwise the case runs through the stages and the finished record
     /// is persisted (when a store is attached).
-    pub(crate) fn run(
-        &self,
-        item: &WorkItem,
-        leases: &mut Leases,
-        stats: &mut PipelineStats,
-    ) -> CaseRecord {
+    pub(crate) fn run(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
         let store = self.record_store.as_deref();
         if let Some(store) = store {
             if let Some(record) = store.lookup(item) {
@@ -65,7 +46,7 @@ impl Stages {
             }
             stats.store_misses += 1;
         }
-        let record = self.validate(item, leases, stats);
+        let record = self.validate(item, stats);
         // The stage counters follow from the record alone, exactly as for
         // a replayed one.
         stats.observe_record(&record);
@@ -78,19 +59,14 @@ impl Stages {
     /// Compile, execute and judge `item`, counting only where the compile
     /// came from. Under early exit a case stops at the first stage that
     /// fails.
-    fn validate(
-        &self,
-        item: &WorkItem,
-        leases: &mut Leases,
-        stats: &mut PipelineStats,
-    ) -> CaseRecord {
+    fn validate(&self, item: &WorkItem, stats: &mut PipelineStats) -> CaseRecord {
         let early_exit = self.mode == PipelineMode::EarlyExit;
         let CompileOutput {
             summary: compile,
             artifact,
             signals,
             fetch,
-        } = self.compile(item, leases);
+        } = self.compile.compile(item);
         match fetch {
             Some(CompileFetch::Fresh) => stats.compile_cache_misses += 1,
             Some(_) => stats.compile_cache_hits += 1,
@@ -120,31 +96,5 @@ impl Stages {
             signals.as_deref(),
         ));
         record
-    }
-
-    /// Compile through a leased session when the concrete backend allows
-    /// it, or through the object-safe backend otherwise.
-    fn compile(&self, item: &WorkItem, leases: &mut Leases) -> CompileOutput {
-        let Some(sim) = &self.sim_compile else {
-            return self.compile.compile(item);
-        };
-        let session = leases
-            .entry(item.model)
-            .or_insert_with(|| sim.take_session(item.model));
-        if session.interner().len() > MAX_SESSION_SYMBOLS {
-            // Same retirement rule as the pooled path: a pathological
-            // corpus must not grow the interner without bound.
-            *session = sim.take_session(item.model);
-        }
-        sim.compile_with(session, item)
-    }
-
-    /// Return leased sessions to the backend's pool.
-    pub(crate) fn release(&self, leases: &mut Leases) {
-        if let Some(sim) = &self.sim_compile {
-            for (model, session) in leases.drain() {
-                sim.return_session(model, session);
-            }
-        }
     }
 }

@@ -122,6 +122,7 @@ struct JobState {
     tenant: usize,
     service: Arc<ValidationService>,
     writer: Arc<ConnWriter>,
+    /// Merged counters of the job's processed cases, sent in `JOB_DONE`.
     stats: Mutex<PipelineStats>,
     started: Instant,
     /// Cases accepted (reader side).
@@ -513,12 +514,16 @@ fn worker_loop(inner: Arc<ServerInner>) {
     while let Some(case) = inner.dispatch.next(answered) {
         let job = case.job;
         if !job.cancelled.load(Ordering::Acquire) {
-            let record = job.service.process_case(&case.item, &job.stats);
-            {
-                let mut global = inner.global.lock();
-                global.submitted += 1;
-                global.observe_record(&record);
-            }
+            // One case's counters, merged into its job and into the
+            // daemon's tally alike.
+            let counted = Mutex::new(PipelineStats {
+                submitted: 1,
+                ..PipelineStats::default()
+            });
+            let record = job.service.process_case(&case.item, &counted);
+            let counted = counted.into_inner();
+            job.stats.lock().merge(&counted);
+            inner.global.lock().merge(&counted);
             if !job.cancelled.load(Ordering::Acquire) {
                 let sent = job.writer.send(&Response::Record {
                     job: job.id,
@@ -627,7 +632,6 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
                     break;
                 }
                 job.submitted.fetch_add(1, Ordering::AcqRel);
-                job.stats.lock().submitted += 1;
                 let job = Arc::clone(job);
                 // This is the admission point: a full tenant queue blocks
                 // here, which stops draining this client's socket.

@@ -101,8 +101,8 @@ pub struct ServerStats {
     /// worker pool, so it does not change scheduling or records).
     pub strategy: String,
     /// Merged statistics of every case ever served, across all tenants
-    /// and jobs (cache/store provenance is tracked by the resident pools
-    /// below, not per case).
+    /// and jobs: the merge of the jobs' `JOB_DONE` stats, cache and store
+    /// provenance included, except for the wall time.
     pub served: PipelineStats,
     /// The resident compile cache shared by every job.
     pub compile_cache: CacheSnapshot,

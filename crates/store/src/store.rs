@@ -283,24 +283,11 @@ impl ArtifactStore {
     /// comparison, so hash collisions degrade to misses, never wrong
     /// values.
     pub fn get(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
-        let inner = self.lock();
-        let found = inner.index.get(&addr).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|e| e.kind == kind && *e.key == *key)
-                .map(|e| Arc::clone(&e.value))
-        });
-        drop(inner);
-        match found {
-            Some(value) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let found = self.probe(kind, addr, key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
     /// Like [`ArtifactStore::get`], but counter-neutral on a miss (a hit
@@ -330,17 +317,6 @@ impl ArtifactStore {
         self.hits.fetch_sub(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.undecodable.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Membership probe that does not touch the hit/miss counters, so
-    /// diffing a key-set against the store never skews a run's hit-rate
-    /// accounting.
-    pub fn contains(&self, kind: u8, addr: u64, key: &[u8]) -> bool {
-        let inner = self.lock();
-        inner
-            .index
-            .get(&addr)
-            .is_some_and(|bucket| bucket.iter().any(|e| e.kind == kind && *e.key == *key))
     }
 
     /// Insert a record. The write is visible to `get` immediately and
@@ -934,14 +910,19 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_skew_counters() {
-        let dir = temp_dir("contains");
+    fn get_and_probe_differ_only_in_miss_counting() {
+        let dir = temp_dir("probe");
         let store = ArtifactStore::open(&dir).unwrap();
         store.put(kind::CASE, 5, b"k", b"v").unwrap();
-        assert!(store.contains(kind::CASE, 5, b"k"));
-        assert!(!store.contains(kind::CASE, 5, b"other"));
+        assert_eq!(store.probe(kind::CASE, 5, b"k").as_deref(), Some(&b"v"[..]));
+        assert_eq!(store.probe(kind::CASE, 5, b"other"), None);
+        assert_eq!(store.probe(kind::COMPILE, 5, b"k"), None);
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 0));
+        assert_eq!(store.get(kind::CASE, 5, b"k").as_deref(), Some(&b"v"[..]));
+        assert_eq!(store.get(kind::CASE, 5, b"other"), None);
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
         drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -31,7 +31,7 @@ use std::path::PathBuf;
 
 use llm4vv::incremental::stage_stats;
 use vv_dclang::DirectiveModel;
-use vv_pipeline::{encode_record, PipelineRun, ValidationService, WorkItem};
+use vv_pipeline::{encode_record, PipelineRun, PipelineStats, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_server::protocol::ErrorCode;
 use vv_server::{Client, ClientError, JobSpec, Server, ServerConfig};
@@ -447,31 +447,59 @@ fn shutdown_reports_a_store_that_cannot_be_sealed() {
 #[test]
 fn the_stats_snapshot_accounts_every_served_case() {
     let size = scale(20, 120);
-    let server = Server::start(ServerConfig::default()).expect("start server");
+    let dir = temp_dir("accounting");
+    let server = Server::start(ServerConfig {
+        store_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start server");
     let mut client = Client::over(Box::new(server.connect()), "accounting").expect("handshake");
     let items = corpus(DirectiveModel::OpenMp, 0xC0DE, size);
-    client
-        .submit(JobSpec::default(), items)
-        .expect("submit")
-        .into_run()
-        .expect("campaign");
+    // The second job replays every case from the store the first filled.
+    let jobs: Vec<PipelineRun> = (0..2)
+        .map(|_| {
+            client
+                .submit(JobSpec::default(), items.clone())
+                .expect("submit")
+                .into_run()
+                .expect("campaign")
+        })
+        .collect();
+    assert_eq!(jobs[1].stats.store_hits, size);
 
     // Over the wire — the same snapshot the `vv-server stats` CLI prints.
     let snapshot = client.stats().expect("STATS_OK");
     assert!(!snapshot.draining);
-    assert_eq!(snapshot.served.submitted, size);
-    assert_eq!(snapshot.served.judged, size);
+    assert_eq!(snapshot.served.submitted, 2 * size);
+    assert_eq!(snapshot.served.judged, 2 * jobs[0].stats.judged);
+    // The daemon's tally is the merge of its jobs' JOB_DONE stats in every
+    // counter. Wall time differs, and the f64 latency sum depends on the
+    // order the cases were merged in.
+    let mut expected = PipelineStats::default();
+    for job in &jobs {
+        expected.merge(&job.stats);
+    }
+    let served = &snapshot.served;
+    let latency = served.simulated_judge_latency_ms;
+    assert!(
+        (latency - expected.simulated_judge_latency_ms).abs() <= 1e-9 * latency.abs().max(1.0),
+        "{latency} vs {}",
+        expected.simulated_judge_latency_ms
+    );
+    expected.wall_time = served.wall_time;
+    expected.simulated_judge_latency_ms = latency;
+    assert_eq!(*served, expected);
     let row = snapshot
         .tenants
         .iter()
         .find(|row| row.name == "accounting")
         .expect("tenant row");
-    assert_eq!(row.submitted as usize, size);
-    assert_eq!(row.completed as usize, size);
+    assert_eq!(row.submitted as usize, 2 * size);
+    assert_eq!(row.completed as usize, 2 * size);
     assert_eq!(row.queued, 0);
     assert_eq!(row.in_flight, 0);
-    assert_eq!(row.jobs_opened, 1);
-    assert_eq!(row.jobs_finished, 1);
+    assert_eq!(row.jobs_opened, 2);
+    assert_eq!(row.jobs_finished, 2);
     assert!(snapshot.compile_cache.hits + snapshot.compile_cache.misses > 0);
 
     let rendered = snapshot.to_string();
@@ -481,6 +509,7 @@ fn the_stats_snapshot_accounts_every_served_case() {
     drop(client);
     server.handle().shutdown().expect("store seals");
     server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
