@@ -20,11 +20,6 @@ impl BaseType {
         matches!(self, BaseType::Float | BaseType::Double)
     }
 
-    /// True for the integral base types.
-    pub fn is_integer(&self) -> bool {
-        matches!(self, BaseType::Char | BaseType::Int | BaseType::Long)
-    }
-
     /// Size in bytes, used by `sizeof` and by the execution substrate's
     /// memory model.
     pub fn size_bytes(&self) -> usize {
@@ -452,17 +447,6 @@ impl TranslationUnit {
         out.sort_by_key(|d| d.span);
         out
     }
-
-    /// Count statements across all functions (used for complexity metrics).
-    pub fn statement_count(&self) -> usize {
-        let mut count = 0;
-        for func in &self.functions {
-            for stmt in &func.body.stmts {
-                stmt.visit(&mut |_| count += 1);
-            }
-        }
-        count
-    }
 }
 
 fn collect_stmt_directives<'a>(stmt: &'a Stmt, out: &mut Vec<&'a Directive>) {
@@ -480,7 +464,6 @@ mod tests {
     #[test]
     fn base_type_properties() {
         assert!(BaseType::Double.is_float());
-        assert!(BaseType::Int.is_integer());
         assert!(!BaseType::Int.is_float());
         assert_eq!(BaseType::Double.size_bytes(), 8);
         assert_eq!(BaseType::Char.size_bytes(), 1);

@@ -28,15 +28,6 @@ impl InferenceCostModel {
         }
     }
 
-    /// A much smaller/faster judge, used in ablation benchmarks.
-    pub fn small_7b_gpu() -> Self {
-        Self {
-            base_ms: 40.0,
-            prompt_ms_per_token: 0.12,
-            output_ms_per_token: 7.0,
-        }
-    }
-
     /// Estimated latency in milliseconds for one call.
     pub fn latency_ms(&self, prompt_tokens: usize, output_tokens: usize) -> f64 {
         self.base_ms
@@ -69,12 +60,5 @@ mod tests {
         let model = InferenceCostModel::default();
         // 300 output tokens should cost far more than 3000 prompt tokens.
         assert!(model.output_ms_per_token * 300.0 > model.prompt_ms_per_token * 3000.0);
-    }
-
-    #[test]
-    fn small_model_is_faster() {
-        let big = InferenceCostModel::deepseek_33b_a100();
-        let small = InferenceCostModel::small_7b_gpu();
-        assert!(small.latency_ms(1000, 200) < big.latency_ms(1000, 200));
     }
 }

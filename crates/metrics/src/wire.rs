@@ -1,7 +1,8 @@
-//! Compact wire codecs for the streaming accumulator summaries.
+//! Compact wire codec for the latency histogram the accumulators and the
+//! pipeline stats carry.
 //!
 //! Built on [`vv_store::wire`] (little-endian integers, `u32`-length
-//! strings, bounds-checked [`Reader`]), so the encodings compose with the
+//! strings, bounds-checked [`Reader`]), so the encoding composes with the
 //! store's segment framing and with the `vv-server` protocol.
 //!
 //! # Encodings
@@ -18,11 +19,8 @@
 //! Slots must be strictly increasing and in range, so every histogram has
 //! exactly one canonical encoding and a decoded histogram re-encodes to
 //! the same bytes.
-//!
-//! [`LatencyTokenSummary`] is its four counters (`u64` each) followed by
-//! the histogram.
 
-use crate::accumulate::{LatencyHistogram, LatencyTokenSummary};
+use crate::accumulate::LatencyHistogram;
 use vv_store::wire::{Reader, WireError, Writer};
 
 /// Append a histogram's canonical sparse encoding to `w`.
@@ -72,31 +70,9 @@ pub fn decode_histogram(r: &mut Reader<'_>) -> Result<LatencyHistogram, WireErro
     Ok(LatencyHistogram::from_raw(buckets, max_ms))
 }
 
-/// Append a judge-cost summary's encoding to `w`.
-pub fn encode_latency_token_summary(summary: &LatencyTokenSummary, w: &mut Writer) {
-    w.put_u64(summary.judgements);
-    w.put_u64(summary.prompt_tokens);
-    w.put_u64(summary.response_tokens);
-    w.put_u64(summary.missing_verdicts);
-    encode_histogram(&summary.latency, w);
-}
-
-/// Decode a summary encoded by [`encode_latency_token_summary`].
-pub fn decode_latency_token_summary(r: &mut Reader<'_>) -> Result<LatencyTokenSummary, WireError> {
-    Ok(LatencyTokenSummary {
-        judgements: r.get_u64("summary judgements")?,
-        prompt_tokens: r.get_u64("summary prompt tokens")?,
-        response_tokens: r.get_u64("summary response tokens")?,
-        missing_verdicts: r.get_u64("summary missing verdicts")?,
-        latency: decode_histogram(r)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulate::Accumulator;
-    use vv_judge::{JudgeOutcome, Verdict};
 
     fn busy_histogram() -> LatencyHistogram {
         let mut histogram = LatencyHistogram::default();
@@ -157,31 +133,5 @@ mod tests {
                 "cut at {cut}"
             );
         }
-    }
-
-    #[test]
-    fn summary_round_trips() {
-        let outcomes: Vec<JudgeOutcome> = (0..9)
-            .map(|i| JudgeOutcome {
-                prompt: String::new(),
-                response: String::new(),
-                verdict: (i % 4 != 0).then_some(Verdict::Valid),
-                prompt_tokens: 120 + i,
-                response_tokens: 30 + i,
-                latency_ms: 500.0 + 97.0 * i as f64,
-            })
-            .collect();
-        let summary: LatencyTokenSummary = Accumulator::fold(&outcomes);
-        let mut w = Writer::new();
-        encode_latency_token_summary(&summary, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let decoded = decode_latency_token_summary(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(decoded, summary);
-        // The Display snapshot mentions the headline counters.
-        let shown = format!("{decoded}");
-        assert!(shown.contains("9 judgements"), "{shown}");
-        assert!(shown.contains("p95"), "{shown}");
     }
 }

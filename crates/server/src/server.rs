@@ -481,13 +481,18 @@ impl ServerInner {
 
     fn snapshot(&self) -> ServerStats {
         let cache = self.cache.stats();
+        // One clock reading for both: the served tally merges per-case
+        // stats, which carry no wall time, so its wall time is the uptime.
+        let uptime = self.started.elapsed();
+        let mut served = self.global.lock().clone();
+        served.wall_time = uptime;
         ServerStats {
-            uptime_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
+            uptime_ms: uptime.as_millis().min(u64::MAX as u128) as u64,
             connections: self.connections.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::SeqCst),
             workers: self.config.workers.max(1) as u64,
             strategy: self.config.strategy.label().to_string(),
-            served: self.global.lock().clone(),
+            served,
             compile_cache: CacheSnapshot {
                 hits: cache.hits,
                 misses: cache.misses,

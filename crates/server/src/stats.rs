@@ -102,7 +102,8 @@ pub struct ServerStats {
     pub strategy: String,
     /// Merged statistics of every case ever served, across all tenants
     /// and jobs: the merge of the jobs' `JOB_DONE` stats, cache and store
-    /// provenance included, except for the wall time.
+    /// provenance included. Its wall time is the daemon's uptime, read
+    /// once with [`Self::uptime_ms`].
     pub served: PipelineStats,
     /// The resident compile cache shared by every job.
     pub compile_cache: CacheSnapshot,

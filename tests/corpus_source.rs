@@ -6,8 +6,11 @@
 //!   lazily — the tail of the stream is never generated when the consumer
 //!   stops early;
 //! * generated corpora nest far below the parser's nesting limit, so the
-//!   limit never rejects a generated case.
+//!   limit never rejects a generated case;
+//! * the bytes of generated and probed cases are pinned by one digest, so
+//!   a faster emitter or mutation engine must reproduce them exactly.
 
+use vv_corpus::source::split_seed;
 use vv_corpus::{CaseSource, GeneratedCase, RandomCodeSource, TemplateSource};
 use vv_dclang::DirectiveModel;
 use vv_pipeline::{ExecutionStrategy, ValidationService};
@@ -203,4 +206,81 @@ fn a_large_corpus_streams_through_the_service_with_bounded_buffers() {
     assert_eq!(stats.submitted, size);
     assert_eq!(stats.compiled, size);
     assert!(stats.judged <= stats.executed);
+}
+
+/// Classic 64-bit FNV-1a, fed field by field.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// A field followed by its length, so adjacent fields cannot trade
+    /// bytes without changing the digest.
+    fn field(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+        self.bytes(&(bytes.len() as u64).to_le_bytes());
+    }
+
+    fn case(&mut self, case: &GeneratedCase) {
+        self.field(case.id().as_bytes());
+        self.field(case.source.as_bytes());
+        self.field(case.case.source.as_bytes());
+        self.field(case.note.as_bytes());
+        self.field(&[case.issue_id.map_or(0xff, |id| id)]);
+    }
+}
+
+#[test]
+fn generated_and_probed_bytes_match_the_pinned_digest() {
+    // The benchmark's corpus shape (OpenACC and OpenMP templates
+    // interleaved, then probed) at three seeds and the hold-out seed, a
+    // probed C-only stream and a random-code stream. Stored records are
+    // keyed by these bytes, so a change that only makes generation or
+    // probing faster must leave the digest as it is.
+    let mut digest = Fnv1a::new();
+    let mut cases = 0usize;
+    for seed in [1u64, 2, 3, 424_242] {
+        let stream = TemplateSource::new(DirectiveModel::OpenAcc, split_seed(seed, 1))
+            .interleave(TemplateSource::new(
+                DirectiveModel::OpenMp,
+                split_seed(seed, 2),
+            ))
+            .probe(ProbeConfig::with_seed(split_seed(seed, 3)))
+            .take(10_000);
+        for case in stream.into_cases() {
+            digest.case(&case);
+            cases += 1;
+        }
+    }
+    let c_only = CorpusSpec::new(DirectiveModel::OpenMp)
+        .seed(31)
+        .probe_seed(32)
+        .c_only()
+        .size(2_000);
+    for case in c_only.source().into_cases() {
+        digest.case(&case);
+        cases += 1;
+    }
+    for case in RandomCodeSource::new(DirectiveModel::OpenAcc, 33)
+        .take(1_000)
+        .into_cases()
+    {
+        digest.case(&case);
+        cases += 1;
+    }
+    assert_eq!(cases, 4 * 10_000 + 2_000 + 1_000);
+    assert_eq!(
+        digest.0, 0xd4c5_4204_1e56_a843,
+        "corpus digest moved: {:#018x}",
+        digest.0
+    );
 }

@@ -20,7 +20,8 @@
 //!    is refused at startup, and a store that cannot be sealed is reported
 //!    instead of acknowledged;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
-//!    the right tenant, and has a row only for tenants that opened a job;
+//!    the right tenant, has a row only for tenants that opened a job, and
+//!    reports the uptime as the served wall time;
 //! 7. **No transport stalls** — small jobs over TCP never wait on a
 //!    delayed ACK.
 //!
@@ -510,6 +511,30 @@ fn the_stats_snapshot_accounts_every_served_case() {
     server.handle().shutdown().expect("store seals");
     server.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_served_wall_time_is_the_uptime() {
+    // Per-case stats carry no wall time, so the served tally's wall time is
+    // the daemon's uptime: the same clock reading as `uptime_ms`.
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let mut client = Client::over(Box::new(server.connect()), "uptime").expect("handshake");
+    client
+        .submit(
+            JobSpec::default(),
+            corpus(DirectiveModel::OpenAcc, 0x7177, 4),
+        )
+        .expect("submit")
+        .into_run()
+        .expect("campaign");
+    let snapshot = client.stats().expect("STATS_OK");
+    let wall = snapshot.served.wall_time;
+    assert!(wall > std::time::Duration::ZERO, "{snapshot}");
+    assert_eq!(wall.as_millis() as u64, snapshot.uptime_ms, "{snapshot}");
+    assert!(!snapshot.to_string().contains("wall 0ns"), "{snapshot}");
+    drop(client);
+    server.handle().shutdown().expect("shutdown");
+    server.join();
 }
 
 #[test]
