@@ -97,7 +97,8 @@ fn write_bench_point() {
     let cold_secs = started.elapsed().as_secs_f64();
     assert!(cold.completed());
 
-    // Best of three warm passes (open + scan + fold, zero validations).
+    // Best of three warm passes (open, then every case replays inside the
+    // store-backed executor: zero validations).
     let mut warm_secs = f64::INFINITY;
     for _ in 0..3 {
         let started = Instant::now();

@@ -17,7 +17,9 @@
 //! [`MetricsSink`]s and merging them. One private routine drives every
 //! scenario: [`run_scenario`], [`run_campaign`] and the store-backed
 //! [`run_incremental_campaign`](crate::incremental::run_incremental_campaign)
-//! all call it. By the corpus layer's shard-union
+//! all call it, and differ only in the service each shard streams through:
+//! the store-backed one looks each case up in the store once and replays a
+//! stored record in place of the stages. By the corpus layer's shard-union
 //! law and the accumulators' merge laws, the merged per-scenario metrics
 //! are byte-identical to an unsharded single-pass fold, which is itself
 //! byte-identical to the legacy batch computation over a materialized
@@ -42,7 +44,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use vv_corpus::CaseSource;
@@ -55,7 +56,7 @@ use vv_simcompiler::{CompileCache, PersistentCache};
 use vv_store::ArtifactStore;
 
 use crate::experiment::fold_probed_source;
-use crate::incremental::{scan_shard, Checkpoint, FreshSource};
+use crate::incremental::Checkpoint;
 
 /// One fully-specified cell of a [`ScenarioMatrix`].
 #[derive(Clone, Debug)]
@@ -348,8 +349,8 @@ impl ScenarioMetrics {
     /// (the judge's own verdict), the pipeline sink (the
     /// compile/execute/judge-gated verdict) and the judge-load summary.
     /// The single definition of how a [`CaseRecord`] maps onto evaluation
-    /// metrics, shared by the streaming fold, the store scan and remote
-    /// runs so the paths cannot silently diverge.
+    /// metrics, shared by the streaming fold and remote runs so the paths
+    /// cannot silently diverge.
     ///
     /// # Panics
     ///
@@ -367,8 +368,8 @@ impl ScenarioMetrics {
         self.judge_load.observe(judgement);
     }
 
-    /// Absorb another partial fold of the same scenario (a shard, a store
-    /// scan or a remote job): every accumulator merges exactly, and the
+    /// Absorb another partial fold of the same scenario (a shard or a
+    /// remote job): every accumulator merges exactly, and the
     /// in-flight high-water mark takes the maximum.
     pub fn merge(&mut self, other: &ScenarioMetrics) {
         self.judge.merge(&other.judge);
@@ -394,47 +395,26 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioMetrics {
 /// The one scenario driver, behind [`run_scenario`], [`run_campaign`] and
 /// [`run_incremental_campaign`](crate::incremental::run_incremental_campaign).
 ///
-/// Without a checkpoint every shard streams through the scenario's
-/// service. With one, a scan pass first folds the records the store
-/// already holds straight off the disk (all shards at once), and a validate
-/// pass then streams only the missing cases through a store-backed service,
-/// each drawing one unit of the campaign's shared budget.
+/// Every shard streams through the scenario's service, one after the
+/// other. With a checkpoint that service is store-backed: each case gets
+/// one store lookup, inside the service, and a stored record replays
+/// there instead of running the stages. Under a budget only the cases the
+/// store lacks draw on it (see [`Checkpoint::admit`]).
 fn drive_scenario(
     scenario: &Scenario,
     cache: Arc<CompileCache>,
     checkpoint: Option<&Checkpoint>,
 ) -> ScenarioMetrics {
-    let mut merged = ScenarioMetrics::new(scenario.clone());
-    let Some(checkpoint) = checkpoint else {
-        let service = scenario.service_with_cache(cache);
-        for k in 0..scenario.shards {
-            merged.merge(&fold_shard(
-                scenario,
-                &service,
-                scenario.shard_spec(k).source(),
-            ));
-        }
-        return merged;
+    let service = match checkpoint {
+        Some(checkpoint) => scenario.service_with_store(cache, &checkpoint.store),
+        None => scenario.service_with_cache(cache),
     };
-    let service = scenario.service_with_store(cache, &checkpoint.store);
-    let record_store = service
-        .record_store()
-        .expect("the default backends all state their fingerprints");
-    let mut missing = Vec::with_capacity(scenario.shards);
-    for (scan, fresh_ids) in par_map(scenario.shards, |k| scan_shard(scenario, k, record_store)) {
-        merged.merge(&scan);
-        missing.push(fresh_ids);
-    }
-    for (k, fresh_ids) in missing.into_iter().enumerate() {
-        // A fully-warm shard, or a spent budget, skips the validate pass.
-        if fresh_ids.is_empty() || checkpoint.budget.load(Ordering::Relaxed) == 0 {
-            continue;
+    let mut merged = ScenarioMetrics::new(scenario.clone());
+    for k in 0..scenario.shards {
+        let mut source = scenario.shard_spec(k).source();
+        if let Some(checkpoint) = checkpoint {
+            source = checkpoint.admit(&service, source);
         }
-        let source = FreshSource {
-            inner: scenario.shard_spec(k).source(),
-            fresh_ids,
-            budget: Arc::clone(&checkpoint.budget),
-        };
         merged.merge(&fold_shard(scenario, &service, source));
     }
     merged
@@ -520,9 +500,9 @@ impl CampaignResults {
         self.scenarios.iter().map(ScenarioMetrics::cases).sum()
     }
 
-    /// Whole-record artifact-store hits across every scenario: cases folded
-    /// from a stored record (by the scan pass, or inside the service when
-    /// an in-run sibling persisted the same source moments earlier) — no
+    /// Whole-record artifact-store hits across every scenario: cases the
+    /// store-backed service replayed from a stored record (an earlier
+    /// run's, or one an in-run sibling persisted moments earlier) — no
     /// stage was re-run. Zero without a store.
     pub fn total_reused(&self) -> usize {
         self.scenarios.iter().map(|s| s.stats.store_hits).sum()

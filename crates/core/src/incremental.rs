@@ -14,8 +14,10 @@
 //!
 //! There is no second driver: [`run_incremental_campaign`] opens the store
 //! and runs the matrix through the same scenario routine as `run_campaign`,
-//! which adds a scan pass and a budgeted validate pass when it is given a
-//! store. The results are the same [`CampaignResults`], whose
+//! which streams every shard through a store-backed service when it is
+//! given a store. Each case then gets one store lookup, inside the
+//! service: a stored record replays there, and a missing one runs the
+//! stages and is persisted. The results are the same [`CampaignResults`], whose
 //! [`total_reused`](CampaignResults::total_reused),
 //! [`total_fresh`](CampaignResults::total_fresh) and
 //! [`completed`](CampaignResults::completed) report the store's share.
@@ -34,18 +36,16 @@
 //! pipeline mode, the stage fingerprints and the full source bytes, so a
 //! matrix change simply hits whatever subset of records is still valid.
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use vv_corpus::{CaseSource, GeneratedCase};
-use vv_pipeline::{PipelineStats, RecordStore, WorkItem};
-use vv_probing::IssueKind;
+use vv_pipeline::{PipelineStats, RecordStore, ValidationService, WorkItem};
 use vv_store::{ArtifactStore, StoreError};
 
-use crate::campaign::{drive_campaign, CampaignResults, Scenario, ScenarioMatrix, ScenarioMetrics};
+use crate::campaign::{drive_campaign, CampaignResults, ScenarioMatrix};
 
 /// A [`PipelineStats`] clone with everything history-dependent zeroed:
 /// wall time and the store/compile-cache provenance counters. Two campaign
@@ -63,84 +63,82 @@ pub fn stage_stats(stats: &PipelineStats) -> PipelineStats {
 }
 
 /// The durable state of a store-backed campaign: the store every scenario
-/// reads and writes, and the budget of fresh validations all its scenarios
-/// draw on, concurrently.
+/// reads and writes, and, when the caller set one, the budget of fresh
+/// validations all its scenarios draw on, concurrently.
 pub(crate) struct Checkpoint {
     pub(crate) store: Arc<ArtifactStore>,
-    pub(crate) budget: Arc<AtomicUsize>,
+    budget: Option<Arc<AtomicUsize>>,
 }
 
-/// Scan pass over shard `k` of `scenario`: fold every record the store
-/// already holds into fresh accumulators, exactly as the live fold would
-/// have (both go through [`ScenarioMetrics::observe`] and
-/// [`PipelineStats::observe_record`]), and return the ids of the cases
-/// that still need validating.
-pub(crate) fn scan_shard(
-    scenario: &Scenario,
-    k: usize,
-    record_store: &RecordStore,
-) -> (ScenarioMetrics, HashSet<String>) {
-    let mut scan = ScenarioMetrics::new(scenario.clone());
-    let mut fresh_ids = HashSet::new();
-    let mut source = scenario.shard_spec(k).source();
-    while let Some(case) = source.next_case() {
-        let issue = IssueKind::of_case(&case);
-        let item = WorkItem::from(case);
-        match record_store.replay(&item) {
-            Some(record) => {
-                scan.observe(issue, &record);
-                scan.stats.submitted += 1;
-                scan.stats.observe_record(&record);
-                scan.stats.store_hits += 1;
-            }
-            None => {
-                fresh_ids.insert(item.id);
-            }
+impl Checkpoint {
+    /// `source` as the store-backed `service` admits it: unchanged without
+    /// a budget, and through a [`Budgeted`] filter under one.
+    pub(crate) fn admit(
+        &self,
+        service: &ValidationService,
+        source: Box<dyn CaseSource + Send>,
+    ) -> Box<dyn CaseSource + Send> {
+        let Some(budget) = &self.budget else {
+            return source;
+        };
+        let records = service
+            .record_store()
+            .expect("the default backends all state their fingerprints");
+        Budgeted {
+            inner: source,
+            records: Arc::clone(records),
+            budget: Arc::clone(budget),
         }
-    }
-    (scan, fresh_ids)
-}
-
-/// The validate-pass corpus source: only cases the scan pass found
-/// missing from the store are yielded, capped by the campaign-wide
-/// validation budget. Once the budget hits zero the stream ends early,
-/// leaving the campaign half done — exactly the state a crash leaves
-/// behind.
-pub(crate) struct FreshSource<S> {
-    pub(crate) inner: S,
-    pub(crate) fresh_ids: HashSet<String>,
-    pub(crate) budget: Arc<AtomicUsize>,
-}
-
-impl<S: CaseSource> FreshSource<S> {
-    /// Reserve one unit of budget; `false` once exhausted.
-    fn draw_budget(&self) -> bool {
-        self.budget
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |remaining| {
-                remaining.checked_sub(1)
-            })
-            .is_ok()
+        .boxed()
     }
 }
 
-impl<S: CaseSource> CaseSource for FreshSource<S> {
+/// Admission under the campaign-wide validation budget: a case the store
+/// holds passes for free, and a missing case passes only if it can draw
+/// one unit of budget. A refused case still lets later cases through, so
+/// a spent budget leaves the campaign half done — exactly the state a
+/// crash leaves behind — while every stored record still replays.
+struct Budgeted {
+    inner: Box<dyn CaseSource + Send>,
+    records: Arc<RecordStore>,
+    budget: Arc<AtomicUsize>,
+}
+
+impl Budgeted {
+    fn admits(&self, case: &GeneratedCase) -> bool {
+        let item = WorkItem {
+            id: case.id().to_owned(),
+            source: case.source.clone(),
+            lang: case.case.lang,
+            model: case.case.model,
+        };
+        self.records.holds(&item)
+            || self
+                .budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |remaining| {
+                    remaining.checked_sub(1)
+                })
+                .is_ok()
+    }
+}
+
+impl CaseSource for Budgeted {
     fn next_case(&mut self) -> Option<GeneratedCase> {
         loop {
             let case = self.inner.next_case()?;
-            if !self.fresh_ids.remove(case.id()) {
-                continue;
+            if self.admits(&case) {
+                return Some(case);
             }
-            return self.draw_budget().then_some(case);
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        // Filtering and the budget only shrink the stream.
+        // The budget only shrinks the stream.
         (0, self.inner.size_hint().1)
     }
 
     fn describe(&self) -> String {
-        format!("{} -> fresh-only(budgeted)", self.inner.describe())
+        format!("{} -> budgeted", self.inner.describe())
     }
 }
 
@@ -154,13 +152,12 @@ impl<S: CaseSource> CaseSource for FreshSource<S> {
 ///    quarantining any segment tail a crash tore;
 /// 2. drives every scenario through the same routine as
 ///    [`run_campaign`](crate::campaign::run_campaign), several at once,
-///    with two passes over each scenario's shards: a **scan pass** that
-///    folds already-stored records straight off the disk (no pipeline),
-///    and a **validate pass** that streams only the genuinely missing
-///    cases through a store-backed service
-///    ([`Scenario::service_with_store`]), which persists each as it
-///    completes. `budget` caps the validate passes of all scenarios
-///    together — replaying stored work is free;
+///    streaming each shard through a store-backed service
+///    ([`Scenario::service_with_store`](crate::campaign::Scenario::service_with_store)):
+///    a stored case replays from the store, and a missing one is validated
+///    and persisted as it completes. `budget` caps the fresh validations
+///    of all scenarios together — replaying stored work is free, and a
+///    missing case the spent budget refuses is skipped, not validated;
 /// 3. seals every pending record into the store, which is the whole
 ///    checkpoint: a resumed run reuses them, and a warm re-run of a
 ///    completed campaign validates zero cases from scratch.
@@ -170,8 +167,9 @@ impl<S: CaseSource> CaseSource for FreshSource<S> {
 /// whenever [`CampaignResults::completed`] (modulo [`stage_stats`]'s
 /// exclusions); [`CampaignResults::total_reused`] and
 /// [`CampaignResults::total_fresh`] split the work between the store and
-/// the pipeline. A `Some(0)` budget validates nothing: it reports how much
-/// of the campaign the store already holds.
+/// the pipeline. A `Some(0)` budget validates nothing: it folds every
+/// stored record and so reports how much of the campaign the store already
+/// holds.
 ///
 /// # Errors
 ///
@@ -184,7 +182,7 @@ pub fn run_incremental_campaign(
 ) -> Result<CampaignResults, StoreError> {
     let checkpoint = Checkpoint {
         store: ArtifactStore::open_shared(dir)?,
-        budget: Arc::new(AtomicUsize::new(budget.unwrap_or(usize::MAX))),
+        budget: budget.map(|n| Arc::new(AtomicUsize::new(n))),
     };
     let results = drive_campaign(matrix, Some(&checkpoint));
     // Seal buffered records into a durable segment: the store is the
@@ -196,7 +194,7 @@ pub fn run_incremental_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, ScenarioMetrics};
     use vv_judge::JudgeProfile;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -253,7 +251,7 @@ mod tests {
             let dir = temp_dir(&format!("resume-{tag}"));
             // A 16-case budget on a 2x12-shard scenario lands the "crash"
             // mid-shard-1, with completed cases on both sides of the shard
-            // boundary — the resumed scan pass must reuse all of them.
+            // boundary — the resumed run must reuse all of them.
             let partial = run_incremental_campaign(&matrix, &dir, Some(16)).unwrap();
             assert!(!partial.completed(), "{tag}");
             assert_eq!(
@@ -280,6 +278,35 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
             std::fs::remove_dir_all(&reference_dir).unwrap();
         }
+    }
+
+    #[test]
+    fn the_budget_admits_stored_cases_free_and_missing_ones_while_it_lasts() {
+        let dir = temp_dir("mixed");
+        let first = run_incremental_campaign(&matrix(), &dir, Some(8)).unwrap();
+        assert_eq!(first.total_fresh(), 8);
+        // Stored and missing cases now mix within shard 0.
+        let second = run_incremental_campaign(&matrix(), &dir, Some(4)).unwrap();
+        assert!(!second.completed());
+        assert_eq!(second.total_fresh(), 4, "missing cases draw the budget");
+        assert_eq!(second.total_reused(), 8, "stored cases pass for free");
+        let stored = run_incremental_campaign(&matrix(), &dir, Some(0)).unwrap();
+        assert!(!stored.completed());
+        assert_eq!(stored.total_fresh(), 0);
+        assert_eq!(
+            stored.total_reused(),
+            12,
+            "a refused case skips no later one"
+        );
+        let full = run_incremental_campaign(&matrix(), &dir, None).unwrap();
+        assert!(full.completed());
+        assert_eq!((full.total_fresh(), full.total_reused()), (12, 12));
+        let plain = run_campaign(&matrix());
+        for (a, b) in full.scenarios.iter().zip(&plain.scenarios) {
+            assert_same_metrics(a, b);
+        }
+        assert_no_journal(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

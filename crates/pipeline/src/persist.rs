@@ -213,18 +213,13 @@ impl RecordStore {
         self.decode_hit(&bytes, item)
     }
 
-    /// Like [`RecordStore::lookup`], but counter-neutral on a miss: a hit
-    /// is counted as a hit, while a missing record leaves the store's
-    /// counters untouched. This is the probe for scan-ahead replay loops
-    /// that hand misses to the validation service afterwards — the service
-    /// probes (and counts) the same key again, so counting here too would
-    /// double every miss. An undecodable record is the exception: both
-    /// lookups found it and served nothing, so each counts as an
-    /// undecodable miss.
-    pub fn replay(&self, item: &WorkItem) -> Option<CaseRecord> {
+    /// True when the store holds a record under the item's key. Counts
+    /// nothing and decodes nothing: it checks what a later
+    /// [`RecordStore::lookup`] of the same item would find, and that
+    /// lookup does the counting.
+    pub fn holds(&self, item: &WorkItem) -> bool {
         let key = self.key_of(item);
-        let bytes = self.store.probe(kind::CASE, fnv1a(&key), &key)?;
-        self.decode_hit(&bytes, item)
+        self.store.probe(kind::CASE, fnv1a(&key), &key).is_some()
     }
 
     /// Decode a counted hit re-labeled with the item's id, or reclassify
@@ -339,9 +334,9 @@ mod tests {
         let stored = record(true, true);
         a.persist(&item, &stored);
         // Same mode+fingerprints hit; different mode or fingerprint miss.
-        assert!(a.replay(&item).is_some());
-        assert!(b.replay(&item).is_none());
-        assert!(c.replay(&item).is_none());
+        assert!(a.holds(&item));
+        assert!(!b.holds(&item));
+        assert!(!c.holds(&item));
         // The hit is re-labeled with the *requesting* item's id.
         let relabeled = WorkItem {
             id: "renamed".into(),
@@ -350,6 +345,38 @@ mod tests {
         let hit = a.lookup(&relabeled).expect("hit");
         assert_eq!(hit.id, "renamed");
         assert_eq!(hit.compile, stored.compile);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn holds_leaves_the_store_counters_unchanged() {
+        let dir = std::env::temp_dir().join(format!("vv-recstore-holds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open_shared(&dir).unwrap();
+        let records = RecordStore::new(
+            Arc::clone(&store),
+            PipelineMode::RecordAll,
+            "compile-v1",
+            "exec-v1",
+            "judge-v1",
+        );
+        let stored = WorkItem {
+            id: "x".into(),
+            source: "int main() { return 0; }".into(),
+            lang: Lang::C,
+            model: DirectiveModel::OpenAcc,
+        };
+        let missing = WorkItem {
+            source: "int main() { return 1; }".into(),
+            ..stored.clone()
+        };
+        records.persist(&stored, &record(true, true));
+        let before = records.stats();
+        assert!(records.holds(&stored), "a hit");
+        assert!(!records.holds(&missing), "a miss");
+        assert_eq!(records.stats(), before);
+        drop(records);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

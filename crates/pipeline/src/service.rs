@@ -290,9 +290,9 @@ impl ValidationService {
     }
 
     /// The whole-record persistence layer, when active (an artifact store
-    /// was attached and every stage backend stated a fingerprint). An
-    /// incremental campaign's scan pass replays from this to split a
-    /// corpus into already-stored and fresh work.
+    /// was attached and every stage backend stated a fingerprint). A
+    /// budgeted incremental campaign asks it which cases the store already
+    /// holds, so that only missing ones draw on the validation budget.
     pub fn record_store(&self) -> Option<&Arc<RecordStore>> {
         self.stages.record_store.as_ref()
     }

@@ -277,36 +277,33 @@ impl ArtifactStore {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Look up a record. `addr` must be the caller's content address of
-    /// `key` (any 64-bit digest; the compile cache's FNV address and
-    /// [`fnv1a`] both work) — correctness rests on the full `key`
-    /// comparison, so hash collisions degrade to misses, never wrong
-    /// values.
+    /// Look up a record, counting a hit or a miss. `addr` must be the
+    /// caller's content address of `key` (any 64-bit digest; the compile
+    /// cache's FNV address and [`fnv1a`] both work) — correctness rests on
+    /// the full `key` comparison, so hash collisions degrade to misses,
+    /// never wrong values.
     pub fn get(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
         let found = self.probe(kind, addr, key);
-        if found.is_none() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Like [`ArtifactStore::get`], but counter-neutral on a miss (a hit
-    /// still counts). This is the lookup for scan-ahead replay loops: a
-    /// missing record goes to the validation service, whose own store
-    /// probe counts the miss — counting here too would double it.
+    /// Like [`ArtifactStore::get`], but counting nothing: a look at what
+    /// the store holds that serves no record, such as an admission check
+    /// before the record's own counted lookup.
     pub fn probe(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
         let inner = self.lock();
-        let found = inner.index.get(&addr).and_then(|bucket| {
+        inner.index.get(&addr).and_then(|bucket| {
             bucket
                 .iter()
                 .find(|e| e.kind == kind && *e.key == *key)
                 .map(|e| Arc::clone(&e.value))
-        });
-        drop(inner);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        })
     }
 
     /// Reclassify one counted hit whose value the caller could not decode
@@ -910,7 +907,7 @@ mod tests {
     }
 
     #[test]
-    fn get_and_probe_differ_only_in_miss_counting() {
+    fn probe_counts_nothing_and_get_counts_each_hit_and_miss_once() {
         let dir = temp_dir("probe");
         let store = ArtifactStore::open(&dir).unwrap();
         store.put(kind::CASE, 5, b"k", b"v").unwrap();
@@ -918,11 +915,11 @@ mod tests {
         assert_eq!(store.probe(kind::CASE, 5, b"other"), None);
         assert_eq!(store.probe(kind::COMPILE, 5, b"k"), None);
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0));
+        assert_eq!((stats.hits, stats.misses), (0, 0));
         assert_eq!(store.get(kind::CASE, 5, b"k").as_deref(), Some(&b"v"[..]));
         assert_eq!(store.get(kind::CASE, 5, b"other"), None);
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
         drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }

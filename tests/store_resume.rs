@@ -53,9 +53,17 @@ fn sweep_scale() -> (usize, usize) {
     }
 }
 
+/// Per-scenario corpus size of the campaigns.
+fn campaign_size() -> usize {
+    if cfg!(debug_assertions) {
+        60
+    } else {
+        2_000
+    }
+}
+
 fn campaign_matrix() -> ScenarioMatrix {
-    let size = if cfg!(debug_assertions) { 60 } else { 2_000 };
-    ScenarioMatrix::new(size)
+    ScenarioMatrix::new(campaign_size())
         .judge_profiles(vec![
             JudgeProfile::deepseek_agent_direct(),
             JudgeProfile::deepseek_agent_indirect(),
@@ -288,10 +296,16 @@ fn resume_after_a_torn_segment_is_byte_identical_to_uninterrupted_and_plain() {
 
 #[test]
 fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically() {
-    let matrix = campaign_matrix();
-    let total: usize = matrix.len() * matrix.scenarios()[0].suite_size;
+    // One scenario writes the master store: its two shards stream one
+    // after the other, and each stream seals what it put when it
+    // completes, so the frame count depends on the work alone. A budget
+    // of three quarters of the corpus finishes shard 0 and stops
+    // mid-shard 1.
+    let size = campaign_size();
     let master = temp_dir("manifest-master");
-    let partial = run_incremental_campaign(&matrix, &master, Some(total / 3)).expect("partial");
+    let interrupted = ScenarioMatrix::new(size).shards(2);
+    let partial =
+        run_incremental_campaign(&interrupted, &master, Some(size * 3 / 4)).expect("partial");
     assert!(!partial.completed(), "the budget interrupts mid-campaign");
     let manifest = std::fs::read(master.join("manifest.vvs")).expect("read manifest");
     let frames = frame_starts(&manifest);
@@ -299,6 +313,8 @@ fn a_manifest_torn_at_every_offset_of_its_final_frame_resumes_byte_identically()
         frames.len() >= 2,
         "the interrupted run sealed several segments"
     );
+    let matrix = campaign_matrix();
+    let total: usize = matrix.len() * size;
     let last_frame_start = *frames.last().expect("frames");
     let reference = reference(&matrix, "manifest-sweep-ref");
 
