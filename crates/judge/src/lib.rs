@@ -20,7 +20,10 @@
 //! * [`parse`] recovers the `FINAL JUDGEMENT: ...` phrase from the response
 //!   (both the `valid/invalid` and `correct/incorrect` variants);
 //! * [`tokenizer`] and [`inference`] provide a token-count-based latency
-//!   model so that pipeline throughput experiments remain meaningful.
+//!   model so that pipeline throughput experiments remain meaningful;
+//! * [`text`] holds [`Text`], the shared immutable text of prompts,
+//!   responses and tool captures, which a decoded record can keep as
+//!   ranges of its stored bytes.
 //!
 //! The decision layer is deterministic per (prompt, profile, seed), so every
 //! experiment is reproducible.
@@ -30,6 +33,7 @@ pub mod model;
 pub mod parse;
 pub mod profile;
 pub mod prompt;
+pub mod text;
 pub mod tokenizer;
 
 pub use inference::InferenceCostModel;
@@ -39,6 +43,7 @@ pub use profile::{JudgeProfile, SignalReliability};
 pub use prompt::{
     build_prompt, build_prompt_into, criteria_block, PromptStyle, ToolContext, ToolRecord,
 };
+pub use text::Text;
 pub use tokenizer::estimate_tokens;
 
 use vv_dclang::DirectiveModel;
@@ -47,9 +52,9 @@ use vv_dclang::DirectiveModel;
 #[derive(Clone, Debug, PartialEq)]
 pub struct JudgeOutcome {
     /// The prompt that was sent to the (surrogate) model.
-    pub prompt: String,
+    pub prompt: Text,
     /// The raw response text.
-    pub response: String,
+    pub response: Text,
     /// The verdict parsed from the response (`None` if the model failed to
     /// produce the required exact phrase).
     pub verdict: Option<Verdict>,
@@ -127,8 +132,8 @@ impl JudgeSession {
         let response_tokens = estimate_tokens(&response);
         let latency_ms = self.cost.latency_ms(prompt_tokens, response_tokens);
         JudgeOutcome {
-            prompt,
-            response,
+            prompt: prompt.into(),
+            response: response.into(),
             verdict,
             prompt_tokens,
             response_tokens,

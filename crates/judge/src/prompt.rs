@@ -21,8 +21,10 @@
 //! caller-provided buffer for paths that want to reuse one.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use vv_dclang::DirectiveModel;
+
+use crate::text::Text;
 
 /// Which prompt template to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -55,7 +57,7 @@ impl PromptStyle {
 
 /// Captured output of one external tool invocation (compiler or program).
 ///
-/// The capture text is shared (`Arc<str>`) rather than owned: the pipeline
+/// The capture text is shared ([`Text`]) rather than owned: the pipeline
 /// records keep the same captures, so building a judge context is two
 /// reference-count bumps instead of two string copies per tool.
 #[derive(Clone, Debug, Default)]
@@ -63,9 +65,9 @@ pub struct ToolRecord {
     /// Process exit code.
     pub return_code: i32,
     /// Captured standard output.
-    pub stdout: Arc<str>,
+    pub stdout: Text,
     /// Captured standard error.
-    pub stderr: Arc<str>,
+    pub stderr: Text,
 }
 
 /// The tool information available to an agent-based judge.

@@ -642,8 +642,8 @@ mod tests {
     fn latency_token_summary_accumulates_and_merges() {
         let outcomes: Vec<JudgeOutcome> = (0..12)
             .map(|i| JudgeOutcome {
-                prompt: String::new(),
-                response: String::new(),
+                prompt: Default::default(),
+                response: Default::default(),
                 verdict: if i % 5 == 0 {
                     None
                 } else {

@@ -234,8 +234,8 @@ impl CompileBackend for SimCompileBackend {
         CompileOutput {
             summary: CompileSummary {
                 return_code: outcome.return_code,
-                stdout: Arc::clone(&outcome.stdout),
-                stderr: Arc::clone(&outcome.stderr),
+                stdout: Arc::clone(&outcome.stdout).into(),
+                stderr: Arc::clone(&outcome.stderr).into(),
                 succeeded,
             },
             artifact: outcome.artifact.clone(),
@@ -331,19 +331,19 @@ impl JudgeBackend for SurrogateJudgeBackend {
         exec: Option<&ExecSummary>,
         signals: Option<&CodeSignals>,
     ) -> JudgeOutcome {
-        // `Arc<str>` captures: building the tool context is reference-count
+        // Shared captures: building the tool context is reference-count
         // bumps, not string copies — the judge reads the very same buffers
         // the record keeps.
         let tools = ToolContext {
             compile: Some(ToolRecord {
                 return_code: compile.return_code,
-                stdout: Arc::clone(&compile.stdout),
-                stderr: Arc::clone(&compile.stderr),
+                stdout: compile.stdout.clone(),
+                stderr: compile.stderr.clone(),
             }),
             run: exec.map(|e| ToolRecord {
                 return_code: e.return_code,
-                stdout: Arc::clone(&e.stdout),
-                stderr: Arc::clone(&e.stderr),
+                stdout: e.stdout.clone(),
+                stderr: e.stderr.clone(),
             }),
         };
         self.session

@@ -90,7 +90,7 @@ pub use service::{ExecutionStrategy, RecordStream, ValidationService, Validation
 pub use stats::PipelineStats;
 
 use vv_dclang::DirectiveModel;
-use vv_judge::{JudgeOutcome, JudgeProfile, PromptStyle, Verdict};
+use vv_judge::{JudgeOutcome, JudgeProfile, PromptStyle, Text, Verdict};
 use vv_simcompiler::Lang;
 
 /// One file queued for validation.
@@ -124,32 +124,33 @@ impl From<vv_corpus::GeneratedCase> for WorkItem {
 /// Compiler stage result kept in the record (the full artifact is dropped
 /// once the later stages have used it).
 ///
-/// Captures are `Arc<str>` so the record, the judge's tool context and any
-/// metrics consumers share one buffer; equality is still by content, so the
+/// Captures are shared [`Text`] so the record, the judge's tool context and
+/// any metrics consumers share one buffer (a replayed record's captures are
+/// ranges of its stored bytes); equality is still by content, so the
 /// byte-identity laws are unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileSummary {
     /// Compiler exit code.
     pub return_code: i32,
     /// Captured stdout.
-    pub stdout: std::sync::Arc<str>,
+    pub stdout: Text,
     /// Captured stderr.
-    pub stderr: std::sync::Arc<str>,
+    pub stderr: Text,
     /// True if an artifact was produced.
     pub succeeded: bool,
 }
 
 /// Execution stage result kept in the record.
 ///
-/// Captures are shared `Arc<str>`s, like [`CompileSummary`]'s.
+/// Captures are shared [`Text`], like [`CompileSummary`]'s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecSummary {
     /// Program exit code.
     pub return_code: i32,
     /// Captured stdout.
-    pub stdout: std::sync::Arc<str>,
+    pub stdout: Text,
     /// Captured stderr.
-    pub stderr: std::sync::Arc<str>,
+    pub stderr: Text,
     /// True if the program exited with code 0.
     pub passed: bool,
 }
@@ -280,7 +281,7 @@ mod tests {
 
     fn judgement(valid: bool) -> JudgeOutcome {
         JudgeOutcome {
-            prompt: String::new(),
+            prompt: Text::default(),
             response: if valid {
                 "FINAL JUDGEMENT: valid"
             } else {

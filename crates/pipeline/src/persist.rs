@@ -27,13 +27,21 @@
 //! re-labeled with the requesting item's id, so sharded and re-shuffled
 //! corpora still hit (ids encode shard position, which may differ).
 //!
+//! A hit allocates only its id. [`RecordStore::lookup`] builds no key: the
+//! address extends the hash of the service's fixed key prefix, taken once
+//! per [`RecordStore`], and the store compares the stored key with the
+//! prefix, the item's model and language and its source in place. The
+//! record's text fields ([`Text`]) are ranges of the buffer the store
+//! holds for the record, so a replayed record that is kept pins that
+//! buffer until it drops.
+//!
 //! [`CompileBackend::fingerprint`]: crate::backend::CompileBackend::fingerprint
 
 use std::sync::Arc;
 
-use vv_judge::{JudgeOutcome, Verdict};
+use vv_judge::{JudgeOutcome, Text, Verdict};
 use vv_simcompiler::Lang;
-use vv_store::{fnv1a, kind, ArtifactStore, Reader, StoreStats, Writer};
+use vv_store::{kind, ArtifactStore, Bytes, Fnv1a, Reader, StoreStats, Writer};
 
 use crate::{CaseRecord, CompileSummary, ExecSummary, PipelineMode, WorkItem};
 use vv_dclang::DirectiveModel;
@@ -50,16 +58,16 @@ pub fn encode_record(record: &CaseRecord) -> Vec<u8> {
     );
     w.put_str(&record.id);
     w.put_i32(record.compile.return_code);
-    w.put_str(&record.compile.stdout);
-    w.put_str(&record.compile.stderr);
+    w.put_bytes(record.compile.stdout.as_bytes());
+    w.put_bytes(record.compile.stderr.as_bytes());
     w.put_u8(u8::from(record.compile.succeeded));
     match &record.exec {
         None => w.put_u8(0),
         Some(exec) => {
             w.put_u8(1);
             w.put_i32(exec.return_code);
-            w.put_str(&exec.stdout);
-            w.put_str(&exec.stderr);
+            w.put_bytes(exec.stdout.as_bytes());
+            w.put_bytes(exec.stderr.as_bytes());
             w.put_u8(u8::from(exec.passed));
         }
     }
@@ -67,8 +75,8 @@ pub fn encode_record(record: &CaseRecord) -> Vec<u8> {
         None => w.put_u8(0),
         Some(judgement) => {
             w.put_u8(1);
-            w.put_str(&judgement.prompt);
-            w.put_str(&judgement.response);
+            w.put_bytes(judgement.prompt.as_bytes());
+            w.put_bytes(judgement.response.as_bytes());
             w.put_u8(match judgement.verdict {
                 None => 0,
                 Some(Verdict::Valid) => 1,
@@ -83,22 +91,30 @@ pub fn encode_record(record: &CaseRecord) -> Vec<u8> {
 }
 
 /// Decode [`encode_record`] bytes; `None` on any structural damage (the
-/// caller treats the record as a miss).
+/// caller treats the record as a miss). The bytes are copied once, into
+/// one shared buffer whose ranges the record's text fields are.
 pub fn decode_record(bytes: &[u8]) -> Option<CaseRecord> {
+    decode_shared(&Bytes::from(bytes), None)
+}
+
+/// Decode [`encode_record`] bytes without copying them: every text field
+/// is a range of `bytes`' buffer. The id is the stored one, or `relabel`.
+fn decode_shared(bytes: &Bytes, relabel: Option<&str>) -> Option<CaseRecord> {
     let mut r = Reader::new(bytes);
-    let id = r.get_str("record id").ok()?.to_owned();
+    let stored_id = r.get_str("record id").ok()?;
+    let id = relabel.unwrap_or(stored_id).to_owned();
     let compile = CompileSummary {
         return_code: r.get_i32("compile return code").ok()?,
-        stdout: r.get_str("compile stdout").ok()?.into(),
-        stderr: r.get_str("compile stderr").ok()?.into(),
+        stdout: decode_text(&mut r, bytes, "compile stdout")?,
+        stderr: decode_text(&mut r, bytes, "compile stderr")?,
         succeeded: decode_bool(&mut r, "compile succeeded")?,
     };
     let exec = match r.get_u8("exec flag").ok()? {
         0 => None,
         1 => Some(ExecSummary {
             return_code: r.get_i32("exec return code").ok()?,
-            stdout: r.get_str("exec stdout").ok()?.into(),
-            stderr: r.get_str("exec stderr").ok()?.into(),
+            stdout: decode_text(&mut r, bytes, "exec stdout")?,
+            stderr: decode_text(&mut r, bytes, "exec stderr")?,
             passed: decode_bool(&mut r, "exec passed")?,
         }),
         _ => return None,
@@ -106,8 +122,8 @@ pub fn decode_record(bytes: &[u8]) -> Option<CaseRecord> {
     let judgement = match r.get_u8("judgement flag").ok()? {
         0 => None,
         1 => Some(JudgeOutcome {
-            prompt: r.get_str("judge prompt").ok()?.to_owned(),
-            response: r.get_str("judge response").ok()?.to_owned(),
+            prompt: decode_text(&mut r, bytes, "judge prompt")?,
+            response: decode_text(&mut r, bytes, "judge response")?,
             verdict: match r.get_u8("judge verdict").ok()? {
                 0 => None,
                 1 => Some(Verdict::Valid),
@@ -131,6 +147,14 @@ pub fn decode_record(bytes: &[u8]) -> Option<CaseRecord> {
     })
 }
 
+/// The next length-prefixed string of `r` (a reader over `bytes`) as a
+/// range of `bytes`' buffer.
+fn decode_text(r: &mut Reader<'_>, bytes: &Bytes, context: &'static str) -> Option<Text> {
+    let len = r.get_bytes(context).ok()?.len();
+    let end = bytes.range().start + r.position();
+    Text::from_shared(Arc::clone(bytes.buffer()), end - len..end)
+}
+
 fn decode_bool(r: &mut Reader<'_>, context: &'static str) -> Option<bool> {
     match r.get_u8(context).ok()? {
         0 => Some(false),
@@ -148,6 +172,8 @@ pub struct RecordStore {
     store: Arc<ArtifactStore>,
     /// Precomputed key prefix: mode byte + the three stage fingerprints.
     prefix: Vec<u8>,
+    /// The address hash after `prefix`: an item's address extends a copy.
+    prefix_hash: Fnv1a,
 }
 
 impl RecordStore {
@@ -170,9 +196,13 @@ impl RecordStore {
         w.put_str(compile_fingerprint);
         w.put_str(exec_fingerprint);
         w.put_str(judge_fingerprint);
+        let prefix = w.into_bytes();
+        let mut prefix_hash = Fnv1a::new();
+        prefix_hash.update(&prefix);
         Self {
             store,
-            prefix: w.into_bytes(),
+            prefix,
+            prefix_hash,
         }
     }
 
@@ -188,29 +218,48 @@ impl RecordStore {
 
     /// The full store key for one work item: prefix + model + lang +
     /// source bytes. Ids are deliberately excluded (see the module docs).
+    /// Its [`vv_store::fnv1a`] is the record's address.
     pub fn key_of(&self, item: &WorkItem) -> Vec<u8> {
-        let mut key = Vec::with_capacity(self.prefix.len() + 6 + item.source.len());
-        key.extend_from_slice(&self.prefix);
-        key.push(match item.model {
+        self.with_key(item, |_, key| key.concat())
+    }
+
+    /// Call `f` with the item's address and its key in parts: the prefix,
+    /// the model, lang and source-length bytes, and the source.
+    fn with_key<R>(&self, item: &WorkItem, f: impl FnOnce(u64, &[&[u8]]) -> R) -> R {
+        let mut head = [0u8; 6];
+        head[0] = match item.model {
             DirectiveModel::OpenAcc => 0,
             DirectiveModel::OpenMp => 1,
-        });
-        key.push(match item.lang {
+        };
+        head[1] = match item.lang {
             Lang::C => 0,
             Lang::Cpp => 1,
-        });
-        key.extend_from_slice(&(item.source.len() as u32).to_le_bytes());
-        key.extend_from_slice(item.source.as_bytes());
-        key
+        };
+        head[2..].copy_from_slice(&(item.source.len() as u32).to_le_bytes());
+        let source = item.source.as_bytes();
+        let addr = self
+            .prefix_hash
+            .clone()
+            .update(&head)
+            .update(source)
+            .finish();
+        f(addr, &[&self.prefix, &head, source])
     }
 
     /// Fetch and decode the stored record for an item, re-labeled with the
     /// item's id. Counts a store hit or miss; an undecodable value counts
-    /// as a miss and as undecodable.
+    /// as a miss and as undecodable. A hit allocates only the id: the
+    /// key is compared in place and the record's text fields share the
+    /// stored buffer (see the module docs).
     pub fn lookup(&self, item: &WorkItem) -> Option<CaseRecord> {
-        let key = self.key_of(item);
-        let bytes = self.store.get(kind::CASE, fnv1a(&key), &key)?;
-        self.decode_hit(&bytes, item)
+        let bytes = self.with_key(item, |addr, key| {
+            self.store.get_parts(kind::CASE, addr, key)
+        })?;
+        let record = decode_shared(&bytes, Some(&item.id));
+        if record.is_none() {
+            self.store.note_undecodable();
+        }
+        record
     }
 
     /// True when the store holds a record under the item's key. Counts
@@ -218,28 +267,18 @@ impl RecordStore {
     /// [`RecordStore::lookup`] of the same item would find, and that
     /// lookup does the counting.
     pub fn holds(&self, item: &WorkItem) -> bool {
-        let key = self.key_of(item);
-        self.store.probe(kind::CASE, fnv1a(&key), &key).is_some()
-    }
-
-    /// Decode a counted hit re-labeled with the item's id, or reclassify
-    /// it as an undecodable miss.
-    fn decode_hit(&self, bytes: &[u8], item: &WorkItem) -> Option<CaseRecord> {
-        let Some(mut record) = decode_record(bytes) else {
-            self.store.note_undecodable();
-            return None;
-        };
-        record.id.clone_from(&item.id);
-        Some(record)
+        self.with_key(item, |addr, key| {
+            self.store.probe_parts(kind::CASE, addr, key).is_some()
+        })
     }
 
     /// Persist a completed record (first-write-wins; durability failures
     /// are best-effort — the pipeline result itself is unaffected).
     pub fn persist(&self, item: &WorkItem, record: &CaseRecord) {
-        let key = self.key_of(item);
-        let _ = self
-            .store
-            .put(kind::CASE, fnv1a(&key), &key, &encode_record(record));
+        let value = encode_record(record);
+        let _ = self.with_key(item, |addr, key| {
+            self.store.put_parts(kind::CASE, addr, key, &value)
+        });
     }
 
     /// Seal buffered records into a durable segment.
@@ -251,6 +290,7 @@ impl RecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vv_store::fnv1a;
 
     fn record(with_exec: bool, with_judge: bool) -> CaseRecord {
         CaseRecord {
@@ -345,6 +385,127 @@ mod tests {
         let hit = a.lookup(&relabeled).expect("hit");
         assert_eq!(hit.id, "renamed");
         assert_eq!(hit.compile, stored.compile);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<ArtifactStore>) {
+        let dir = std::env::temp_dir().join(format!("vv-recstore-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open_shared(&dir).unwrap();
+        (dir, store)
+    }
+
+    fn record_store(store: &Arc<ArtifactStore>) -> RecordStore {
+        RecordStore::new(
+            Arc::clone(store),
+            PipelineMode::RecordAll,
+            "compile-v1",
+            "exec-v1",
+            "judge-v1",
+        )
+    }
+
+    #[test]
+    fn a_record_put_under_its_whole_key_is_found_in_place() {
+        let (dir, store) = temp_store("whole-key");
+        let records = record_store(&store);
+        let item = WorkItem {
+            id: "x".into(),
+            // Not a multiple of the hash's 8-byte words.
+            source: "int main() { return 0; }\n/* 29 */".into(),
+            lang: Lang::Cpp,
+            model: DirectiveModel::OpenMp,
+        };
+        let stored = record(true, true);
+        // The whole-key path: build the key, hash it whole, put it whole.
+        let key = records.key_of(&item);
+        assert!(store
+            .put(kind::CASE, fnv1a(&key), &key, &encode_record(&stored))
+            .unwrap());
+        assert!(records.holds(&item));
+        let relabeled = WorkItem {
+            id: "probe-17".into(),
+            ..item.clone()
+        };
+        assert_eq!(records.lookup(&relabeled), Some(stored.clone()));
+        // And the in-place persist lands under the same address and key.
+        let other = WorkItem {
+            source: "int main() { return 1; }".into(),
+            ..item
+        };
+        records.persist(&other, &stored);
+        let key = records.key_of(&other);
+        assert!(store.probe(kind::CASE, fnv1a(&key), &key).is_some());
+        drop(records);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_replayed_record_shares_the_stored_bytes() {
+        let (dir, store) = temp_store("zero-copy");
+        let records = record_store(&store);
+        let item = |source: &str| WorkItem {
+            id: "case".into(),
+            source: source.into(),
+            lang: Lang::C,
+            model: DirectiveModel::OpenAcc,
+        };
+        let mut crlf = record(true, true);
+        crlf.id = "case".into();
+        crlf.compile.stdout = "warning: x\r\nnote: y\r\n".into();
+        crlf.exec.as_mut().unwrap().stdout = "Test passed\r\n".into();
+        let mut unicode = crlf.clone();
+        unicode.compile.stderr = "erreur : « é »\n".into();
+        unicode.exec.as_mut().unwrap().stderr = "検証に失敗\n".into();
+        let judgement = unicode.judgement.as_mut().unwrap();
+        judgement.prompt = "Évaluez ce test — ✓\r\n".into();
+        judgement.response = "FINAL JUDGEMENT: valid 👍".into();
+        let mut empty = crlf.clone();
+        empty.compile.stdout = "".into();
+        empty.compile.stderr = "".into();
+        let exec = empty.exec.as_mut().unwrap();
+        exec.stdout = "".into();
+        exec.stderr = "".into();
+        let judgement = empty.judgement.as_mut().unwrap();
+        judgement.prompt = "".into();
+        judgement.response = "".into();
+        let cases = [("crlf", crlf), ("unicode", unicode), ("empty", empty)];
+        for (source, cold) in &cases {
+            records.persist(&item(source), cold);
+        }
+        drop(records);
+        drop(store);
+
+        let store = ArtifactStore::open_shared(&dir).unwrap();
+        let records = record_store(&store);
+        for (source, cold) in &cases {
+            let item = item(source);
+            let hit = records.lookup(&item).expect("a stored record");
+            assert_eq!(encode_record(&hit), encode_record(cold), "{source}");
+            let key = records.key_of(&item);
+            let bytes = store.probe(kind::CASE, fnv1a(&key), &key).expect("held");
+            let value = bytes.buffer().as_ptr_range();
+            let value = value.start as usize + bytes.range().start..value.end as usize;
+            let exec = hit.exec.as_ref().unwrap();
+            let judgement = hit.judgement.as_ref().unwrap();
+            for (field, text) in [
+                ("compile stdout", &hit.compile.stdout),
+                ("compile stderr", &hit.compile.stderr),
+                ("exec stdout", &exec.stdout),
+                ("exec stderr", &exec.stderr),
+                ("prompt", &judgement.prompt),
+                ("response", &judgement.response),
+            ] {
+                let text = text.as_bytes().as_ptr_range();
+                assert!(
+                    value.start <= text.start as usize && text.end as usize <= value.end,
+                    "{source}: the {field} was copied out of the stored bytes"
+                );
+            }
+        }
+        drop(records);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

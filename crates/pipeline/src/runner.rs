@@ -288,7 +288,7 @@ mod tests {
                 _signals: Option<&vv_judge::CodeSignals>,
             ) -> JudgeOutcome {
                 JudgeOutcome {
-                    prompt: String::new(),
+                    prompt: Default::default(),
                     response: "FINAL JUDGEMENT: valid".into(),
                     verdict: Some(vv_judge::Verdict::Valid),
                     prompt_tokens: 1,

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use vv_dclang::{Diagnostic, DirectiveModel, Severity, Span};
 use vv_specs::Version;
-use vv_store::{fnv1a, kind, ArtifactStore, Reader, StoreStats, Writer};
+use vv_store::{fnv1a, kind, ArtifactStore, Bytes, Reader, StoreStats, Writer};
 
 use crate::cache::{CacheStats, CompileCache};
 use crate::frontend::{CompileOutcome, Lang};
@@ -251,7 +251,7 @@ impl PersistentCache {
     }
 
     /// Fetch the stored outcome bytes for a key, counting the probe.
-    pub(crate) fn fetch(&self, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
+    pub(crate) fn fetch(&self, addr: u64, key: &[u8]) -> Option<Bytes> {
         let hit = self.store.get(kind::COMPILE, addr, key);
         // Decode failures downgrade a fetch hit to a disk miss; the session
         // adjusts the counters via `note_undecodable`.

@@ -108,16 +108,32 @@
 //! The [`fsck`] module (and the `vv-store fsck` binary) re-verifies all
 //! of the above offline and can remove orphaned segments and stale
 //! tempfiles.
+//!
+//! # Lookups share the stored bytes
+//!
+//! Each record in the in-memory index owns one shared buffer: at open, the
+//! record's frame payload as read from its segment; after a
+//! [`ArtifactStore::put`], one fresh key‖value buffer, shared with the
+//! list of records awaiting the next seal. [`ArtifactStore::get`] and
+//! [`ArtifactStore::probe`] copy nothing: they return a [`Bytes`] handle,
+//! a reference-counted range of that buffer holding the value. A value
+//! that is kept (or anything decoded as ranges of it) pins its whole
+//! record buffer, key included, until the last handle drops. The `_parts`
+//! forms of `get`, `probe` and `put` take the key as pieces to be
+//! concatenated, and [`Fnv1a`] hashes such pieces exactly as [`fnv1a`]
+//! hashes the whole key, so callers whose keys share a prefix build no key.
 
+pub mod bytes;
 pub mod fsck;
 pub mod lock;
 pub mod store;
 pub mod wire;
 
+pub use bytes::Bytes;
 pub use fsck::{check, gc, FsckReport};
 pub use lock::LOCK_NAME;
 pub use store::{ArtifactStore, OpenReport, StoreStats};
-pub use wire::{fnv1a, Reader, Writer};
+pub use wire::{fnv1a, Fnv1a, Reader, Writer};
 
 use std::fmt;
 

@@ -5,13 +5,14 @@
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::lock::StoreLock;
 use crate::wire::{fnv1a, Reader, Writer};
-use crate::StoreError;
+use crate::{Bytes, StoreError};
 
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"VVSSEG01";
 pub(crate) const MANIFEST_MAGIC: &[u8; 8] = b"VVSMAN02";
@@ -95,24 +96,53 @@ pub(crate) struct SegmentMeta {
     pub(crate) records: u64,
 }
 
-struct IndexEntry {
+/// One record in memory: one shared buffer holding its key and its value.
+/// Open keeps each record's frame payload as read; a `put` copies key‖value
+/// into one fresh buffer, which the pending list shares. Lookups hand out
+/// the value as a [`Bytes`] range of the same buffer.
+#[derive(Clone)]
+pub(crate) struct IndexEntry {
     kind: u8,
-    key: Arc<[u8]>,
-    value: Arc<[u8]>,
+    buf: Arc<[u8]>,
+    key: Range<usize>,
+    value_start: usize,
 }
 
-struct PendingRecord {
-    kind: u8,
-    addr: u64,
-    key: Arc<[u8]>,
-    value: Arc<[u8]>,
+impl IndexEntry {
+    fn key(&self) -> &[u8] {
+        &self.buf[self.key.clone()]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.buf[self.value_start..]
+    }
+
+    fn shared_value(&self) -> Bytes {
+        Bytes::new(Arc::clone(&self.buf), self.value_start..self.buf.len())
+            .expect("an entry's value lies inside its buffer")
+    }
+
+    /// True when this entry is of `kind` and its key is the concatenation
+    /// of `parts`, compared in place.
+    fn is(&self, kind: u8, parts: &[&[u8]]) -> bool {
+        let mut key = self.key();
+        if self.kind != kind || key.len() != parts.iter().map(|p| p.len()).sum::<usize>() {
+            return false;
+        }
+        parts.iter().all(|part| {
+            let (head, rest) = key.split_at(part.len());
+            key = rest;
+            head == *part
+        })
+    }
 }
 
 #[derive(Default)]
 struct Inner {
     index: HashMap<u64, Vec<IndexEntry>>,
     records: usize,
-    pending: Vec<PendingRecord>,
+    /// Records not yet sealed, with their addresses.
+    pending: Vec<(u64, IndexEntry)>,
     /// Inserts since the last seal attempt, successful or not.
     puts_since_seal: usize,
     manifest: Vec<SegmentMeta>,
@@ -229,8 +259,8 @@ impl ArtifactStore {
             if let Some(seq) = segment_sequence(&meta.name) {
                 inner.next_segment = inner.next_segment.max(seq + 1);
             }
-            for (kind, addr, key, value) in scan.records {
-                insert_index(&mut inner, kind, addr, key, value);
+            for (addr, entry) in scan.records {
+                insert_index(&mut inner, addr, entry);
             }
         }
         if manifest_dirty {
@@ -282,8 +312,19 @@ impl ArtifactStore {
     /// cache's FNV address and [`fnv1a`] both work) — correctness rests on
     /// the full `key` comparison, so hash collisions degrade to misses,
     /// never wrong values.
-    pub fn get(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
-        let found = self.probe(kind, addr, key);
+    ///
+    /// A hit copies nothing: the [`Bytes`] handle shares the record's
+    /// buffer in the index, so a value that is kept pins that buffer (key
+    /// and value) until its last handle drops.
+    pub fn get(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Bytes> {
+        self.get_parts(kind, addr, &[key])
+    }
+
+    /// [`ArtifactStore::get`] of the key that is the concatenation of
+    /// `parts`, compared in place, so a caller whose keys share a prefix
+    /// need not build each key.
+    pub fn get_parts(&self, kind: u8, addr: u64, parts: &[&[u8]]) -> Option<Bytes> {
+        let found = self.probe_parts(kind, addr, parts);
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -295,15 +336,16 @@ impl ArtifactStore {
 
     /// Like [`ArtifactStore::get`], but counting nothing: a look at what
     /// the store holds that serves no record, such as an admission check
-    /// before the record's own counted lookup.
-    pub fn probe(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Arc<[u8]>> {
-        let inner = self.lock();
-        inner.index.get(&addr).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|e| e.kind == kind && *e.key == *key)
-                .map(|e| Arc::clone(&e.value))
-        })
+    /// before the record's own counted lookup. The value is shared as in
+    /// `get`.
+    pub fn probe(&self, kind: u8, addr: u64, key: &[u8]) -> Option<Bytes> {
+        self.probe_parts(kind, addr, &[key])
+    }
+
+    /// [`ArtifactStore::probe`] of a key given in parts, as in
+    /// [`ArtifactStore::get_parts`].
+    pub fn probe_parts(&self, kind: u8, addr: u64, parts: &[&[u8]]) -> Option<Bytes> {
+        find(&self.lock().index, kind, addr, parts).map(IndexEntry::shared_value)
     }
 
     /// Reclassify one counted hit whose value the caller could not decode
@@ -324,23 +366,38 @@ impl ArtifactStore {
     /// `false` and changes nothing — records are immutable, which is what
     /// makes concurrent duplicate computes harmless.
     pub fn put(&self, kind: u8, addr: u64, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
+        self.put_parts(kind, addr, &[key], value)
+    }
+
+    /// [`ArtifactStore::put`] of the key that is the concatenation of
+    /// `parts`. Key and value are copied once, into the record's one
+    /// buffer, before the store's lock is taken.
+    pub fn put_parts(
+        &self,
+        kind: u8,
+        addr: u64,
+        parts: &[&[u8]],
+        value: &[u8],
+    ) -> Result<bool, StoreError> {
+        let key_len = parts.iter().map(|p| p.len()).sum::<usize>();
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, key_len + value.len()).collect();
+        let fill = Arc::get_mut(&mut buf).expect("a fresh buffer has one owner");
+        let mut at = 0;
+        for part in parts.iter().chain([&value]) {
+            fill[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        let entry = IndexEntry {
+            kind,
+            buf,
+            key: 0..key_len,
+            value_start: key_len,
+        };
         let mut inner = self.lock();
-        if inner
-            .index
-            .get(&addr)
-            .is_some_and(|bucket| bucket.iter().any(|e| e.kind == kind && *e.key == *key))
-        {
+        if !insert_index(&mut inner, addr, entry.clone()) {
             return Ok(false);
         }
-        let key: Arc<[u8]> = key.into();
-        let value: Arc<[u8]> = value.into();
-        insert_index(&mut inner, kind, addr, Arc::clone(&key), Arc::clone(&value));
-        inner.pending.push(PendingRecord {
-            kind,
-            addr,
-            key,
-            value,
-        });
+        inner.pending.push((addr, entry));
         inner.puts_since_seal += 1;
         if inner.puts_since_seal >= AUTO_FLUSH_RECORDS {
             self.flush_locked(&mut inner)?;
@@ -368,12 +425,12 @@ impl ArtifactStore {
 
         let mut bytes = Vec::with_capacity(4096);
         bytes.extend_from_slice(SEGMENT_MAGIC);
-        for rec in &inner.pending {
-            let mut payload = Writer::with_capacity(rec.key.len() + rec.value.len() + 32);
+        for (addr, rec) in &inner.pending {
+            let mut payload = Writer::with_capacity(rec.buf.len() + 32);
             payload.put_u8(rec.kind);
-            payload.put_u64(rec.addr);
-            payload.put_bytes(&rec.key);
-            payload.put_bytes(&rec.value);
+            payload.put_u64(*addr);
+            payload.put_bytes(rec.key());
+            payload.put_bytes(rec.value());
             put_frame(&mut bytes, payload.as_bytes());
         }
 
@@ -425,13 +482,26 @@ impl Drop for ArtifactStore {
     }
 }
 
-fn insert_index(inner: &mut Inner, kind: u8, addr: u64, key: Arc<[u8]>, value: Arc<[u8]>) {
-    let bucket = inner.index.entry(addr).or_default();
-    if bucket.iter().any(|e| e.kind == kind && e.key == key) {
-        return;
+/// The one search of the index: the entry of `kind` under `addr` whose key
+/// is the concatenation of `parts`.
+fn find<'a>(
+    index: &'a HashMap<u64, Vec<IndexEntry>>,
+    kind: u8,
+    addr: u64,
+    parts: &[&[u8]],
+) -> Option<&'a IndexEntry> {
+    index.get(&addr)?.iter().find(|e| e.is(kind, parts))
+}
+
+/// Index `entry` unless the index holds its key already (first write
+/// wins); true when it was added.
+fn insert_index(inner: &mut Inner, addr: u64, entry: IndexEntry) -> bool {
+    if find(&inner.index, entry.kind, addr, &[entry.key()]).is_some() {
+        return false;
     }
-    bucket.push(IndexEntry { kind, key, value });
+    inner.index.entry(addr).or_default().push(entry);
     inner.records += 1;
+    true
 }
 
 fn segment_sequence(name: &str) -> Option<u64> {
@@ -563,9 +633,9 @@ fn read_frames<T>(
     (items, pos)
 }
 
-/// One parsed segment record: `(kind, addr, key, value)`. Shared slices
-/// so open can move them into the index without re-copying.
-pub(crate) type ScannedRecord = (u8, u64, Arc<[u8]>, Arc<[u8]>);
+/// One parsed segment record: its address and its index entry, whose
+/// buffer is the frame payload, so open moves it into the index as read.
+pub(crate) type ScannedRecord = (u64, IndexEntry);
 
 pub(crate) struct SegmentScan {
     /// Valid records, in file order.
@@ -660,9 +730,19 @@ fn decode_record(payload: &[u8]) -> Option<ScannedRecord> {
     let mut reader = Reader::new(payload);
     let kind = reader.get_u8("record kind").ok()?;
     let addr = reader.get_u64("record addr").ok()?;
-    let key: Arc<[u8]> = Arc::from(reader.get_bytes("record key").ok()?);
-    let value: Arc<[u8]> = Arc::from(reader.get_bytes("record value").ok()?);
-    reader.is_exhausted().then_some((kind, addr, key, value))
+    let key_len = reader.get_bytes("record key").ok()?.len();
+    let key = reader.position() - key_len..reader.position();
+    reader.get_bytes("record value").ok()?;
+    let value_start = key.end + 4;
+    reader.is_exhausted().then(|| {
+        let entry = IndexEntry {
+            kind,
+            buf: payload.into(),
+            key,
+            value_start,
+        };
+        (addr, entry)
+    })
 }
 
 #[cfg(test)]
@@ -903,6 +983,50 @@ mod tests {
         );
         assert_eq!(store.get(kind::COMPILE, 99, b"third"), None);
         drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn keys_in_parts_match_whole_keys_and_hits_share_the_record_buffer() {
+        let dir = temp_dir("parts");
+        let whole = b"prefix|model|source".as_slice();
+        let parts: [&[u8]; 3] = [b"prefix|", b"model|", b"source"];
+        {
+            let store = ArtifactStore::open(&dir).unwrap();
+            assert!(store.put(kind::CASE, 9, whole, b"first").unwrap());
+            assert!(!store.put_parts(kind::CASE, 9, &parts, b"second").unwrap());
+            assert!(store
+                .put_parts(kind::CASE, 9, &[b"other", b"key"], b"third")
+                .unwrap());
+            let hit = store.get_parts(kind::CASE, 9, &parts).expect("hit");
+            assert_eq!(&*hit, b"first");
+            // The value is the tail of the put's one key‖value buffer.
+            assert_eq!(&**hit.buffer(), b"prefix|model|sourcefirst");
+            let again = store.probe(kind::CASE, 9, whole).expect("hit");
+            assert!(Arc::ptr_eq(hit.buffer(), again.buffer()));
+            assert_eq!(&*store.get(kind::CASE, 9, b"otherkey").unwrap(), b"third");
+            for miss in [
+                &[&b"prefix|"[..], b"model|"][..],
+                &[b"prefix|model|sourc", b"e!"],
+            ] {
+                assert_eq!(store.get_parts(kind::CASE, 9, miss), None);
+            }
+            store.flush().unwrap();
+        }
+        let store = ArtifactStore::open(&dir).unwrap();
+        let hit = store.get_parts(kind::CASE, 9, &parts).expect("hit");
+        assert_eq!(&*hit, b"first");
+        // After open the buffer is the record's frame payload: kind, addr,
+        // key_len, key, val_len, value.
+        let payload = hit.buffer();
+        assert_eq!(payload.len(), 1 + 8 + 4 + whole.len() + 4 + 5);
+        assert_eq!(&payload[13..13 + whole.len()], whole);
+        assert_eq!(hit.range(), payload.len() - 5..payload.len());
+        let again = store.get(kind::CASE, 9, whole).expect("hit");
+        assert!(Arc::ptr_eq(hit.buffer(), again.buffer()));
+        // A kept value outlives the store that handed it out.
+        drop(store);
+        assert_eq!(&*again, b"first");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,19 +29,85 @@ use std::fmt;
 /// store format is self-consistent (writer and verifier share this
 /// definition) and ~7x faster to verify.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        hash ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        hash = hash.wrapping_mul(PRIME);
+        hash = fold_word(hash, chunk);
     }
-    for &byte in chunks.remainder() {
+    finish_fnv1a(hash, chunks.remainder(), bytes.len() as u64)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fold_word(hash: u64, word: &[u8]) -> u64 {
+    (hash ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk"))).wrapping_mul(FNV_PRIME)
+}
+
+/// Absorb the ≤7 trailing bytes byte-wise, then the length finalizer.
+fn finish_fnv1a(mut hash: u64, tail: &[u8], len: u64) -> u64 {
+    for &byte in tail {
         hash ^= byte as u64;
-        hash = hash.wrapping_mul(PRIME);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
-    hash ^= bytes.len() as u64;
-    hash.wrapping_mul(PRIME)
+    (hash ^ len).wrapping_mul(FNV_PRIME)
+}
+
+/// [`fnv1a`] fed in pieces: the bytes of every [`Fnv1a::update`], in
+/// order, hash to exactly `fnv1a` of their concatenation, wherever the
+/// pieces split. A clone carries the state, so a key prefix shared by many
+/// keys is hashed once and each key extends a copy of it.
+#[derive(Clone, Debug)]
+pub struct Fnv1a {
+    hash: u64,
+    len: u64,
+    /// The bytes of the word still being filled: the first `len % 8`.
+    word: [u8; 8],
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self {
+            hash: FNV_OFFSET,
+            len: 0,
+            word: [0; 8],
+        }
+    }
+}
+
+impl Fnv1a {
+    /// The state of the empty input.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Absorb `bytes` after everything absorbed so far.
+    pub fn update(&mut self, mut bytes: &[u8]) -> &mut Self {
+        let filled = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if filled > 0 {
+            let take = bytes.len().min(8 - filled);
+            self.word[filled..filled + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if filled + take < 8 {
+                return self;
+            }
+            self.hash = fold_word(self.hash, &self.word);
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.hash = fold_word(self.hash, chunk);
+        }
+        let rest = chunks.remainder();
+        self.word[..rest.len()].copy_from_slice(rest);
+        self
+    }
+
+    /// The hash of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
+        let tail = &self.word[..(self.len % 8) as usize];
+        finish_fnv1a(self.hash, tail, self.len)
+    }
 }
 
 /// Decode failure: the input did not match the expected shape.
@@ -158,6 +224,11 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Bytes consumed so far: the offset of the next read in the buffer.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// True when every byte has been consumed — decoders assert this at
@@ -280,6 +351,33 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0x089b_e307_b544_f397);
         assert_eq!(fnv1a(b"foobar"), 0x3453_22a7_168b_996a);
         assert_eq!(fnv1a(b"word-folded"), 0x122e_5744_905e_a734);
+    }
+
+    #[test]
+    fn the_streamed_hash_equals_the_whole_buffer_hash_at_every_split() {
+        let bytes: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let whole = fnv1a(&bytes);
+        assert_eq!(Fnv1a::new().update(&bytes).finish(), whole);
+        for cut in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(cut);
+            let mut hash = Fnv1a::new();
+            hash.update(head);
+            // A clone carries the state of the prefix.
+            let resumed = hash.clone().update(tail).finish();
+            assert_eq!(hash.update(tail).finish(), whole, "split at {cut}");
+            assert_eq!(resumed, whole, "cloned at {cut}");
+            for second in cut..=bytes.len() {
+                let three = Fnv1a::new()
+                    .update(head)
+                    .update(&bytes[cut..second])
+                    .update(&bytes[second..])
+                    .finish();
+                assert_eq!(three, whole, "splits at {cut} and {second}");
+            }
+        }
+        for vector in [&b""[..], b"a", b"foobar", b"word-folded"] {
+            assert_eq!(Fnv1a::new().update(vector).finish(), fnv1a(vector));
+        }
     }
 
     #[test]

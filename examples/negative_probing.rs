@@ -45,8 +45,8 @@ fn main() {
         let tools = ToolContext {
             compile: Some(ToolRecord {
                 return_code: compiled.return_code,
-                stdout: std::sync::Arc::clone(&compiled.stdout),
-                stderr: std::sync::Arc::clone(&compiled.stderr),
+                stdout: std::sync::Arc::clone(&compiled.stdout).into(),
+                stderr: std::sync::Arc::clone(&compiled.stderr).into(),
             }),
             run: exec.as_ref().map(|e| ToolRecord {
                 return_code: e.return_code,

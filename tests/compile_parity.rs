@@ -135,8 +135,8 @@ fn precomputed_code_signals_match_prompt_extraction_on_mixed_corpus() {
                 let tools = ToolContext {
                     compile: Some(ToolRecord {
                         return_code: outcome.return_code,
-                        stdout: Arc::clone(&outcome.stdout),
-                        stderr: Arc::clone(&outcome.stderr),
+                        stdout: Arc::clone(&outcome.stdout).into(),
+                        stderr: Arc::clone(&outcome.stderr).into(),
                     }),
                     run: None,
                 };

@@ -110,8 +110,8 @@ fn latency_accumulators_satisfy_the_merge_laws() {
         .iter()
         .enumerate()
         .map(|(i, &latency_ms)| JudgeOutcome {
-            prompt: String::new(),
-            response: String::new(),
+            prompt: Default::default(),
+            response: Default::default(),
             verdict: if i % 11 == 0 {
                 None
             } else {

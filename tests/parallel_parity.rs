@@ -11,7 +11,8 @@
 //!   every captured field), in both pipeline modes, through `run`,
 //!   `run_source`, `submit` and `submit_source`; and a warm
 //!   executor replay from an artifact store equals a cold `process_case`
-//!   run;
+//!   run, both from the buffers the cold run's `put`s made and from the
+//!   buffers a reopened store loaded from its segments;
 //! * **Submission order** — the executor's `RecordStream` yields records
 //!   in submission order (its reorder buffer releases ordinal `n + 1` only
 //!   after `n`);
@@ -160,9 +161,9 @@ fn warm_executor_replay_equals_a_cold_process_case_run() {
     let _ = std::fs::remove_dir_all(&dir);
     let items = mixed_items(DirectiveModel::OpenAcc, SCALE.min(1_000), 0x5707);
     for mode in [PipelineMode::EarlyExit, PipelineMode::RecordAll] {
+        let store = ArtifactStore::open_shared(&dir).expect("open store");
         let cold = {
-            let store = ArtifactStore::open_shared(&dir).expect("open store");
-            let service = builder(mode, 1).artifact_store(store).build();
+            let service = builder(mode, 1).artifact_store(Arc::clone(&store)).build();
             let cold = process_cases(&service, &items);
             service.record_store().expect("record store").flush();
             cold
@@ -174,25 +175,41 @@ fn warm_executor_replay_equals_a_cold_process_case_run() {
             "{mode:?}: the store layer changed a cold record"
         );
 
-        // Reopen from disk: the replay must come from durable state.
+        // First from the buffers the cold run's puts made, then, after a
+        // drop and reopen, from the buffers open loaded from the segments:
+        // the replay must also come from durable state.
+        assert_warm_replay_equals(mode, "put", &store, &items, &cold);
+        drop(store);
         let store = ArtifactStore::open_shared(&dir).expect("reopen store");
-        for workers in WORKER_COUNTS {
-            let warm = builder(mode, workers)
-                .artifact_store(Arc::clone(&store))
-                .build()
-                .run(items.clone());
-            assert_eq!(
-                warm.stats.store_hits,
-                items.len(),
-                "{mode:?} workers={workers}: not every case replayed"
-            );
-            assert_eq!(
-                cold.records, warm.records,
-                "{mode:?} workers={workers}: warm replay diverged from the cold run"
-            );
-        }
+        assert_warm_replay_equals(mode, "reopened", &store, &items, &cold);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay `items` from `store` at every worker count and compare with the
+/// cold run that stored them.
+fn assert_warm_replay_equals(
+    mode: PipelineMode,
+    buffers: &str,
+    store: &Arc<ArtifactStore>,
+    items: &[WorkItem],
+    cold: &PipelineRun,
+) {
+    for workers in WORKER_COUNTS {
+        let warm = builder(mode, workers)
+            .artifact_store(Arc::clone(store))
+            .build()
+            .run(items.to_vec());
+        assert_eq!(
+            warm.stats.store_hits,
+            items.len(),
+            "{mode:?} {buffers} workers={workers}: not every case replayed"
+        );
+        assert_eq!(
+            cold.records, warm.records,
+            "{mode:?} {buffers} workers={workers}: warm replay diverged from the cold run"
+        );
+    }
 }
 
 #[test]

@@ -35,6 +35,7 @@ use vv_dclang::DirectiveModel;
 use vv_pipeline::{encode_record, PipelineRun, PipelineStats, ValidationService, WorkItem};
 use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_server::protocol::ErrorCode;
+use vv_server::stats::TenantSnapshot;
 use vv_server::{Client, ClientError, JobSpec, Server, ServerConfig};
 use vv_store::{check, StoreError};
 
@@ -172,6 +173,16 @@ fn concurrent_tcp_tenants_each_match_their_direct_run() {
     server.join();
 }
 
+/// The victim tenant's row of the live stats.
+fn victim_row(server: &Server) -> TenantSnapshot {
+    server
+        .stats()
+        .tenants
+        .into_iter()
+        .find(|row| row.name == "victim")
+        .expect("victim tenant registered")
+}
+
 #[test]
 fn a_disconnect_mid_stream_cancels_only_that_tenant() {
     let victim_size = scale(300, 1200);
@@ -181,6 +192,7 @@ fn a_disconnect_mid_stream_cancels_only_that_tenant() {
         workers: 2,
         ..ServerConfig::default()
     };
+    let capacity = config.tenant_queue_capacity as u64;
     let server = Server::start(config).expect("start server");
 
     // The steady tenant runs a full campaign concurrently with the chaos.
@@ -207,6 +219,19 @@ fn a_disconnect_mid_stream_cancels_only_that_tenant() {
         for _ in 0..2 {
             job.next().expect("a first record arrives").expect("record");
         }
+        // Vanish only while the victim's queue is full: the reader is then
+        // blocked on cases the job still has to send, so the job cannot
+        // finish before the server sees the drop, and the drop finds cases
+        // to purge.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while victim_row(&server).queued < capacity {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the victim's queue never filled: {:?}",
+                victim_row(&server)
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         // Job and Client drop here, mid-stream.
     }
 
@@ -216,13 +241,7 @@ fn a_disconnect_mid_stream_cancels_only_that_tenant() {
     // The victim's work drains (cancelled or completed, never stuck).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     let victim = loop {
-        let snapshot = server.stats();
-        let row = snapshot
-            .tenants
-            .iter()
-            .find(|row| row.name == "victim")
-            .expect("victim tenant registered")
-            .clone();
+        let row = victim_row(&server);
         if row.queued == 0 && row.in_flight == 0 {
             break row;
         }

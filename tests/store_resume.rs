@@ -21,7 +21,10 @@
 //!    unlisted one as an orphan, and the resumed campaign is again
 //!    byte-identical to the uninterrupted and plain runs;
 //! 5. **Warm re-run** — re-running a completed campaign validates zero
-//!    fresh cases, exactly as a zero-budget run predicts.
+//!    fresh cases, exactly as a zero-budget run predicts;
+//! 6. **Format compatibility** — a store sealed by the store code before
+//!    hits shared the stored bytes (`tests/fixtures/store_9b7f83a`)
+//!    reopens fsck-clean and replays every record it holds.
 //!
 //! No campaign leaves anything but the store in its directory.
 //!
@@ -33,7 +36,11 @@ use std::path::{Path, PathBuf};
 
 use llm4vv::campaign::{run_campaign, CampaignResults, ScenarioMatrix};
 use llm4vv::incremental::{run_incremental_campaign, stage_stats};
+use vv_corpus::CaseSource;
+use vv_dclang::DirectiveModel;
 use vv_judge::JudgeProfile;
+use vv_pipeline::{ExecutionStrategy, PipelineMode, ValidationService, WorkItem};
+use vv_probing::{CorpusSpec, ProbeConfig};
 use vv_store::{check, fnv1a, kind, ArtifactStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -379,5 +386,67 @@ fn warm_rerun_validates_nothing_and_matches_a_zero_budget_run() {
         assert_eq!(warm.judge_load, cold.judge_load);
         assert_eq!(stage_stats(&warm.stats), stage_stats(&cold.stats));
     }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn a_store_sealed_by_the_previous_store_code_reopens_clean_and_replays_every_record() {
+    // The fixture was written by the store code of commit 9b7f83a, which
+    // copied every key and value into buffers of their own: a one-worker
+    // record-all run over this 8-case probed corpus, sealed in one
+    // segment, holding 8 case records and their 8 compile records.
+    let mut probe = ProbeConfig::with_seed(0x5EA1 ^ 0xA5A5);
+    probe.mutated_fraction = 0.5;
+    let items: Vec<WorkItem> = CorpusSpec::new(DirectiveModel::OpenAcc)
+        .seed(0x5EA1)
+        .probe(probe)
+        .size(8)
+        .source()
+        .into_cases()
+        .map(WorkItem::from)
+        .collect();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_9b7f83a");
+    let dir = temp_dir("sealed-before");
+    for name in ["manifest.vvs", "seg-00000000.vvs"] {
+        std::fs::copy(fixture.join(name), dir.join(name)).expect("copy the fixture");
+    }
+    let report = check(&dir).expect("fsck");
+    assert!(report.clean(), "{report}");
+    assert_eq!((report.segments_ok, report.records), (1, 16));
+
+    let store = ArtifactStore::open_shared(&dir).expect("open");
+    assert!(store.open_report().pristine(), "{:?}", store.open_report());
+    assert_eq!(store.stats().records, 16);
+    let service = |mode: PipelineMode| {
+        ValidationService::builder()
+            .mode(mode)
+            .strategy(ExecutionStrategy::Pipelined { workers: 1 })
+    };
+    let warm = service(PipelineMode::RecordAll)
+        .artifact_store(std::sync::Arc::clone(&store))
+        .build()
+        .run(items.clone());
+    assert_eq!((warm.stats.store_hits, warm.stats.store_misses), (8, 0));
+    let cold = service(PipelineMode::RecordAll).build().run(items.clone());
+    assert_eq!(warm.records, cold.records, "every case record replays");
+    // An early-exit service has other case keys, so it misses every case
+    // record and takes each compile from the stored compile records.
+    let early = service(PipelineMode::EarlyExit)
+        .artifact_store(std::sync::Arc::clone(&store))
+        .build()
+        .run(items.clone());
+    assert_eq!(early.stats.store_misses, 8);
+    assert_eq!(
+        (
+            early.stats.compile_cache_hits,
+            early.stats.compile_cache_misses
+        ),
+        (8, 0),
+        "every compile record replays"
+    );
+    let early_cold = service(PipelineMode::EarlyExit).build().run(items);
+    assert_eq!(early.records, early_cold.records);
+    drop(store);
+    assert_fsck_clean(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
