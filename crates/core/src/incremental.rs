@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vv_corpus::{CaseSource, GeneratedCase};
-use vv_pipeline::{PipelineStats, RecordStore, ValidationService, WorkItem};
+use vv_pipeline::{PipelineStats, RecordStore, ValidationService};
 use vv_store::{ArtifactStore, StoreError};
 
 use crate::campaign::{drive_campaign, CampaignResults, ScenarioMatrix};
@@ -106,13 +106,8 @@ struct Budgeted {
 
 impl Budgeted {
     fn admits(&self, case: &GeneratedCase) -> bool {
-        let item = WorkItem {
-            id: case.id().to_owned(),
-            source: case.source.clone(),
-            lang: case.case.lang,
-            model: case.case.model,
-        };
-        self.records.holds(&item)
+        self.records
+            .holds(case.case.model, case.case.lang, &case.source)
             || self
                 .budget
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |remaining| {

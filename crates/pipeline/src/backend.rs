@@ -28,7 +28,7 @@ use vv_judge::{
     ToolContext, ToolRecord,
 };
 use vv_simcompiler::{CompileCache, CompileFetch, CompileSession, PersistentCache, Program};
-use vv_simexec::{ExecConfig, Executor};
+use vv_simexec::Executor;
 
 /// The result of a compile backend call: the summary recorded in the
 /// [`crate::CaseRecord`], the artifact handed to the execute stage, and the
@@ -261,15 +261,6 @@ impl CompileBackend for SimCompileBackend {
 #[derive(Clone, Debug, Default)]
 pub struct SimExecBackend {
     executor: Executor,
-}
-
-impl SimExecBackend {
-    /// An execute backend with custom interpreter limits.
-    pub fn new(config: ExecConfig) -> Self {
-        Self {
-            executor: Executor::new(config),
-        }
-    }
 }
 
 impl ExecBackend for SimExecBackend {

@@ -220,23 +220,30 @@ impl RecordStore {
     /// source bytes. Ids are deliberately excluded (see the module docs).
     /// Its [`vv_store::fnv1a`] is the record's address.
     pub fn key_of(&self, item: &WorkItem) -> Vec<u8> {
-        self.with_key(item, |_, key| key.concat())
+        self.with_key(item.model, item.lang, &item.source, |_, key| key.concat())
     }
 
-    /// Call `f` with the item's address and its key in parts: the prefix,
-    /// the model, lang and source-length bytes, and the source.
-    fn with_key<R>(&self, item: &WorkItem, f: impl FnOnce(u64, &[&[u8]]) -> R) -> R {
+    /// Call `f` with the address and the key in parts of a case's model,
+    /// lang and source: the prefix, the model, lang and source-length
+    /// bytes, and the source.
+    fn with_key<R>(
+        &self,
+        model: DirectiveModel,
+        lang: Lang,
+        source: &str,
+        f: impl FnOnce(u64, &[&[u8]]) -> R,
+    ) -> R {
         let mut head = [0u8; 6];
-        head[0] = match item.model {
+        head[0] = match model {
             DirectiveModel::OpenAcc => 0,
             DirectiveModel::OpenMp => 1,
         };
-        head[1] = match item.lang {
+        head[1] = match lang {
             Lang::C => 0,
             Lang::Cpp => 1,
         };
-        head[2..].copy_from_slice(&(item.source.len() as u32).to_le_bytes());
-        let source = item.source.as_bytes();
+        head[2..].copy_from_slice(&(source.len() as u32).to_le_bytes());
+        let source = source.as_bytes();
         let addr = self
             .prefix_hash
             .clone()
@@ -252,7 +259,7 @@ impl RecordStore {
     /// key is compared in place and the record's text fields share the
     /// stored buffer (see the module docs).
     pub fn lookup(&self, item: &WorkItem) -> Option<CaseRecord> {
-        let bytes = self.with_key(item, |addr, key| {
+        let bytes = self.with_key(item.model, item.lang, &item.source, |addr, key| {
             self.store.get_parts(kind::CASE, addr, key)
         })?;
         let record = decode_shared(&bytes, Some(&item.id));
@@ -262,12 +269,12 @@ impl RecordStore {
         record
     }
 
-    /// True when the store holds a record under the item's key. Counts
-    /// nothing and decodes nothing: it checks what a later
-    /// [`RecordStore::lookup`] of the same item would find, and that
-    /// lookup does the counting.
-    pub fn holds(&self, item: &WorkItem) -> bool {
-        self.with_key(item, |addr, key| {
+    /// True when the store holds a record for a case of this model, lang
+    /// and source (the key fields of a [`WorkItem`]). Counts nothing and
+    /// decodes nothing: it checks what a later [`RecordStore::lookup`] of
+    /// such an item would find, and that lookup does the counting.
+    pub fn holds(&self, model: DirectiveModel, lang: Lang, source: &str) -> bool {
+        self.with_key(model, lang, source, |addr, key| {
             self.store.probe_parts(kind::CASE, addr, key).is_some()
         })
     }
@@ -276,7 +283,7 @@ impl RecordStore {
     /// are best-effort — the pipeline result itself is unaffected).
     pub fn persist(&self, item: &WorkItem, record: &CaseRecord) {
         let value = encode_record(record);
-        let _ = self.with_key(item, |addr, key| {
+        let _ = self.with_key(item.model, item.lang, &item.source, |addr, key| {
             self.store.put_parts(kind::CASE, addr, key, &value)
         });
     }
@@ -374,9 +381,9 @@ mod tests {
         let stored = record(true, true);
         a.persist(&item, &stored);
         // Same mode+fingerprints hit; different mode or fingerprint miss.
-        assert!(a.holds(&item));
-        assert!(!b.holds(&item));
-        assert!(!c.holds(&item));
+        assert!(a.holds(item.model, item.lang, &item.source));
+        assert!(!b.holds(item.model, item.lang, &item.source));
+        assert!(!c.holds(item.model, item.lang, &item.source));
         // The hit is re-labeled with the *requesting* item's id.
         let relabeled = WorkItem {
             id: "renamed".into(),
@@ -422,7 +429,7 @@ mod tests {
         assert!(store
             .put(kind::CASE, fnv1a(&key), &key, &encode_record(&stored))
             .unwrap());
-        assert!(records.holds(&item));
+        assert!(records.holds(item.model, item.lang, &item.source));
         let relabeled = WorkItem {
             id: "probe-17".into(),
             ..item.clone()
@@ -533,8 +540,14 @@ mod tests {
         };
         records.persist(&stored, &record(true, true));
         let before = records.stats();
-        assert!(records.holds(&stored), "a hit");
-        assert!(!records.holds(&missing), "a miss");
+        assert!(
+            records.holds(stored.model, stored.lang, &stored.source),
+            "a hit"
+        );
+        assert!(
+            !records.holds(missing.model, missing.lang, &missing.source),
+            "a miss"
+        );
         assert_eq!(records.stats(), before);
         drop(records);
         drop(store);

@@ -16,9 +16,12 @@
 //!   [`ValidationService::process_case`], so per-case results are
 //!   byte-identical to a direct in-process run (worker-count parity and
 //!   store-replay laws);
-//! * one **dispatch state** (`Dispatch`) holds every tenant queue, the
-//!   round-robin cursor, the in-flight counts and the drain count behind
-//!   one mutex, and every change to it wakes its waiters under that mutex;
+//! * one **dispatch state** (`Dispatch`) holds every tenant queue and row,
+//!   the round-robin cursor, the drain count, the open jobs' counters and
+//!   stats, and the served tally behind one mutex. A worker's step (account
+//!   a case, decide `JOB_DONE`, claim the next case), `FINISH_JOB`,
+//!   cancellation and `STATS` are one critical section each, and every
+//!   change wakes its waiters under that mutex;
 //! * results stream back through a per-connection writer; a dead
 //!   connection cancels that client's jobs (queued cases purged,
 //!   in-flight results discarded) without touching other tenants;
@@ -115,43 +118,20 @@ impl ConnWriter {
     }
 }
 
-/// Server-side state of one open campaign job.
-struct JobState {
+/// What each case of a job carries, fixed at `OPEN_JOB`; the job's
+/// counters live in the dispatch's job table.
+struct Job {
+    at: JobRef,
+    /// The client's job id, unique on its connection only.
     id: u32,
-    /// The job's tenant: an index into the dispatch state's tenants.
-    tenant: usize,
     service: Arc<ValidationService>,
     writer: Arc<ConnWriter>,
-    /// Merged counters of the job's processed cases, sent in `JOB_DONE`.
-    stats: Mutex<PipelineStats>,
     started: Instant,
-    /// Cases accepted (reader side).
-    submitted: AtomicU64,
-    /// Cases answered or discarded (worker side).
-    completed: AtomicU64,
-    /// `FINISH_JOB` seen; `submitted` is final.
-    ended: AtomicBool,
-    /// Client gone or stream dead: discard results, purge the queue.
-    cancelled: AtomicBool,
-    /// `JOB_DONE` sent (or forever suppressed by cancellation).
-    done_sent: AtomicBool,
 }
 
-impl JobState {
-    /// Send `JOB_DONE` exactly once, when the job has ended and every
-    /// accepted case is accounted for.
-    fn maybe_done(&self, dispatch: &Dispatch<Queued>) {
-        if !self.ended.load(Ordering::Acquire) {
-            return;
-        }
-        if self.completed.load(Ordering::Acquire) < self.submitted.load(Ordering::Acquire) {
-            return;
-        }
-        if self.done_sent.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        dispatch.lock().tenants[self.tenant].row.jobs_finished += 1;
-        let mut stats = self.stats.lock().clone();
+impl Job {
+    /// Send the job's `JOB_DONE` with its merged stats.
+    fn send_done(&self, mut stats: PipelineStats) {
         stats.wall_time = self.started.elapsed();
         self.writer.send(&Response::JobDone {
             job: self.id,
@@ -160,29 +140,45 @@ impl JobState {
     }
 }
 
-/// Cancel a job: discard-in-flight, purge-queued, never send `JOB_DONE`.
-fn cancel_job(inner: &ServerInner, job: &Arc<JobState>) {
-    if job.cancelled.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    job.done_sent.store(true, Ordering::Release);
-    let removed = inner
-        .dispatch
-        .purge(job.tenant, |case| !Arc::ptr_eq(&case.job, job));
-    // Purged cases will never reach a worker: account them answered.
-    job.completed.fetch_add(removed as u64, Ordering::AcqRel);
-}
-
 /// One case waiting in its tenant's queue.
 struct Queued {
-    job: Arc<JobState>,
+    job: Arc<Job>,
     seq: u64,
     item: WorkItem,
 }
 
+/// A job's tenant row and its job-table key (unique for the daemon's life).
+#[derive(Clone, Copy)]
+struct JobRef {
+    tenant: usize,
+    key: u64,
+}
+
+/// An open job's mutable state. It leaves the job table once `JOB_DONE` is
+/// decided or the job is cancelled: a job is done when it has no entry.
+#[derive(Default)]
+struct JobEntry {
+    /// Cases accepted, counting one whose reader still waits for space.
+    submitted: u64,
+    completed: u64,
+    /// `FINISH_JOB` seen: `submitted` is final.
+    ended: bool,
+    stats: PipelineStats,
+}
+
+/// A case a worker took, handed back at its next step: its job, its
+/// counters, and whether its record was sent (false: the connection is
+/// dead, which cancels the job).
+struct Answer {
+    job: JobRef,
+    stats: PipelineStats,
+    sent: bool,
+}
+
 /// One tenant's queue and stats row (`row.queued` is filled in by snapshots).
 struct TenantState<T> {
-    queue: VecDeque<T>,
+    /// Queued cases with their job's key.
+    queue: VecDeque<(u64, T)>,
     row: TenantSnapshot,
 }
 
@@ -192,8 +188,13 @@ struct DispatchState<T> {
     tenants: Vec<TenantState<T>>,
     /// The tenant a pick tries first: the one after the tenant served last.
     cursor: usize,
+    jobs: HashMap<u64, JobEntry>,
+    next_key: u64,
+    /// Merged counters of every case ever served.
+    served: PipelineStats,
     /// Cases accepted but not yet answered or purged, counting a case
-    /// whose reader is still blocked on a full queue.
+    /// whose reader is still blocked on a full queue, and decided
+    /// `JOB_DONE`s not yet sent.
     pending: u64,
     stopped: bool,
 }
@@ -215,16 +216,28 @@ impl<T> DispatchState<T> {
         self.cursor = (idx + 1) % n;
         let tenant = &mut self.tenants[idx];
         tenant.row.in_flight += 1;
-        tenant.queue.pop_front().map(|case| (idx, case))
+        tenant.queue.pop_front().map(|(_, case)| (idx, case))
+    }
+
+    /// Decide `JOB_DONE`: once the job has ended and every accepted case
+    /// is answered, close it (at most once) and return its stats.
+    fn take_done(&mut self, job: JobRef) -> Option<PipelineStats> {
+        let entry = self.jobs.get(&job.key)?;
+        if !entry.ended || entry.completed < entry.submitted {
+            return None;
+        }
+        self.tenants[job.tenant].row.jobs_finished += 1;
+        self.jobs.remove(&job.key).map(|entry| entry.stats)
     }
 }
 
-/// The daemon's dispatch: tenant queues, round-robin scheduler and drain
-/// count behind one mutex. Each operation is one critical section that
-/// changes the state and sends its wakeups before it unlocks, so no wakeup
-/// falls between another thread's check and its wait. A full queue blocks
-/// its reader (admission); the in-flight budget caps each tenant's share
-/// of the workers (fairness). Generic so the rules test on plain integers.
+/// The daemon's dispatch: tenant queues, round-robin scheduler, job table,
+/// served tally and drain count behind one mutex. Each operation is one
+/// critical section that changes the state and sends its wakeups before
+/// it unlocks, so no wakeup falls between another thread's check and its
+/// wait. A full queue blocks its reader (admission); the in-flight budget
+/// caps each tenant's share of the workers (fairness). Generic so the
+/// rules test on plain integers.
 struct Dispatch<T> {
     state: StdMutex<DispatchState<T>>,
     /// Workers wait for a schedulable case, readers for queue space,
@@ -243,6 +256,9 @@ impl<T> Dispatch<T> {
             state: StdMutex::new(DispatchState {
                 tenants: Vec::new(),
                 cursor: 0,
+                jobs: HashMap::new(),
+                next_key: 0,
+                served: PipelineStats::default(),
                 pending: 0,
                 stopped: false,
             }),
@@ -259,64 +275,82 @@ impl<T> Dispatch<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The tenant named by a `HELLO`, registered at the first `OPEN_JOB`
-    /// any of its connections sends.
-    fn tenant(&self, name: &str) -> usize {
-        let tenants = &mut self.lock().tenants;
-        if let Some(idx) = tenants.iter().position(|t| t.row.name == name) {
-            return idx;
-        }
-        let (queue, mut row) = (VecDeque::new(), TenantSnapshot::default());
-        row.name = name.to_string();
-        tenants.push(TenantState { queue, row });
-        tenants.len() - 1
+    /// Open a job for the tenant named by a connection's `HELLO`. A
+    /// tenant's row is registered at its first job.
+    fn open_job(&self, tenant: &str) -> JobRef {
+        let mut state = self.lock();
+        let idx = match state.tenants.iter().position(|t| t.row.name == tenant) {
+            Some(idx) => idx,
+            None => {
+                let (queue, mut row) = (VecDeque::new(), TenantSnapshot::default());
+                row.name = tenant.to_string();
+                state.tenants.push(TenantState { queue, row });
+                state.tenants.len() - 1
+            }
+        };
+        state.tenants[idx].row.jobs_opened += 1;
+        let key = state.next_key;
+        state.next_key += 1;
+        state.jobs.insert(key, JobEntry::default());
+        JobRef { tenant: idx, key }
     }
 
     /// Admit one case, blocking while the tenant's queue is full. This runs
     /// on the connection's reader thread: blocking here is the
-    /// backpressure. After a stop the case is dropped.
-    fn enqueue(&self, tenant: usize, case: T) {
+    /// backpressure. After a stop the case is dropped. `false` refuses a
+    /// case of a job that ended or died with its connection.
+    fn enqueue(&self, job: JobRef, case: T) -> bool {
         let mut state = self.lock();
+        match state.jobs.get_mut(&job.key) {
+            Some(entry) if !entry.ended => entry.submitted += 1,
+            _ => return false,
+        }
         state.pending += 1;
-        while state.tenants[tenant].queue.len() >= self.capacity && !state.stopped {
+        while state.tenants[job.tenant].queue.len() >= self.capacity && !state.stopped {
             state = self
                 .space
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
         if state.stopped {
-            return;
+            return true;
         }
-        let admitted = &mut state.tenants[tenant];
-        admitted.queue.push_back(case);
+        let admitted = &mut state.tenants[job.tenant];
+        admitted.queue.push_back((job.key, case));
         admitted.row.submitted += 1;
-        if state.schedulable(tenant, self.max_in_flight) {
+        if state.schedulable(job.tenant, self.max_in_flight) {
             self.work.notify_one();
         }
+        true
     }
 
-    /// Release the in-flight slot of a processed case of `tenant`. The
-    /// slot can make the tenant's next case schedulable.
-    fn finish(&self, tenant: usize) {
+    /// The worker's step: account the case it answered, then block until a
+    /// case is schedulable and claim it (`None` once stopped). A case that
+    /// ends its job has `send_done` send its `JOB_DONE` outside the lock,
+    /// and keeps its drain slot until then.
+    fn next(&self, answer: Option<Answer>, send_done: impl FnOnce(PipelineStats)) -> Option<T> {
         let mut state = self.lock();
-        let row = &mut state.tenants[tenant].row;
-        row.in_flight -= 1;
-        row.completed += 1;
-        if state.schedulable(tenant, self.max_in_flight) {
-            self.work.notify_one();
-        }
-    }
-
-    /// The worker's step: count the case it finished last answered (when
-    /// `answered`), then block until a case is schedulable and claim it.
-    /// `None` once the dispatch stops.
-    fn next(&self, answered: bool) -> Option<T> {
-        let mut state = self.lock();
-        if answered {
-            state.pending -= 1;
-            if state.pending == 0 {
-                self.idle.notify_all();
+        if let Some(Answer { job, stats, sent }) = answer {
+            let row = &mut state.tenants[job.tenant].row;
+            row.in_flight -= 1;
+            row.completed += 1;
+            // The released slot can make the tenant's next case schedulable.
+            if state.schedulable(job.tenant, self.max_in_flight) {
+                self.work.notify_one();
             }
+            state.served.merge(&stats);
+            if !sent {
+                self.cancel_in(&mut state, job);
+            } else if let Some(entry) = state.jobs.get_mut(&job.key) {
+                entry.completed += 1;
+                entry.stats.merge(&stats);
+                if let Some(done) = state.take_done(job) {
+                    drop(state);
+                    send_done(done);
+                    state = self.lock();
+                }
+            }
+            self.answer(&mut state, 1);
         }
         loop {
             if state.stopped {
@@ -336,27 +370,58 @@ impl<T> Dispatch<T> {
         }
     }
 
-    /// Drop every queued case of `tenant` that fails `keep`, count them
-    /// cancelled and answered, and return how many were removed.
-    fn purge(&self, tenant: usize, mut keep: impl FnMut(&T) -> bool) -> usize {
+    /// `FINISH_JOB`: if the job's `JOB_DONE` is due now, `send_done` sends
+    /// it outside the lock, with a drain slot held until it is sent.
+    fn finish_job(&self, job: JobRef, send_done: impl FnOnce(PipelineStats)) {
         let mut state = self.lock();
-        let purged = &mut state.tenants[tenant];
-        let before = purged.queue.len();
-        purged.queue.retain(|case| keep(case));
-        let removed = before - purged.queue.len();
-        purged.row.cancelled += removed as u64;
-        state.pending -= removed as u64;
+        let Some(entry) = state.jobs.get_mut(&job.key) else {
+            return;
+        };
+        entry.ended = true;
+        let Some(done) = state.take_done(job) else {
+            return;
+        };
+        state.pending += 1;
+        drop(state);
+        send_done(done);
+        self.answer(&mut self.lock(), 1);
+    }
+
+    /// Cancel a closed connection's jobs; returns the queued cases purged.
+    fn cancel(&self, jobs: impl IntoIterator<Item = JobRef>) -> u64 {
+        let mut state = self.lock();
+        jobs.into_iter()
+            .map(|job| self.cancel_in(&mut state, job))
+            .sum()
+    }
+
+    /// Close `job` without `JOB_DONE` and purge its queued cases: they
+    /// count cancelled and answered.
+    fn cancel_in(&self, state: &mut DispatchState<T>, job: JobRef) -> u64 {
+        if state.jobs.remove(&job.key).is_none() {
+            return 0;
+        }
+        let tenant = &mut state.tenants[job.tenant];
+        let before = tenant.queue.len();
+        tenant.queue.retain(|(key, _)| *key != job.key);
+        let removed = (before - tenant.queue.len()) as u64;
+        tenant.row.cancelled += removed;
         if removed > 0 {
-            if state.pending == 0 {
-                self.idle.notify_all();
-            }
             self.space.notify_all();
         }
+        self.answer(state, removed);
         removed
     }
 
-    /// Block until every accepted case has been answered or purged, or the
-    /// dispatch stops.
+    /// Drop `n` answered cases or sent `JOB_DONE`s from the drain count.
+    fn answer(&self, state: &mut DispatchState<T>, n: u64) {
+        state.pending -= n;
+        if n > 0 && state.pending == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Block until `pending` reaches zero or the dispatch stops.
     fn wait_idle(&self) {
         let mut state = self.lock();
         while state.pending > 0 && !state.stopped {
@@ -376,10 +441,14 @@ impl<T> Dispatch<T> {
         self.idle.notify_all();
     }
 
-    /// One stats row per tenant, sorted by name.
-    fn snapshot(&self) -> Vec<TenantSnapshot> {
-        let mut rows: Vec<_> = self
-            .lock()
+    fn stopped(&self) -> bool {
+        self.lock().stopped
+    }
+
+    /// The served tally and one stats row per tenant, sorted by name.
+    fn snapshot(&self) -> (PipelineStats, Vec<TenantSnapshot>) {
+        let state = self.lock();
+        let mut rows: Vec<_> = state
             .tenants
             .iter()
             .map(|t| TenantSnapshot {
@@ -388,7 +457,7 @@ impl<T> Dispatch<T> {
             })
             .collect();
         rows.sort_by(|a, b| a.name.cmp(&b.name));
-        rows
+        (state.served.clone(), rows)
     }
 }
 
@@ -404,8 +473,6 @@ struct ServerInner {
     /// same spec shares interned compile sessions and judge state.
     services: Mutex<HashMap<SpecKey, Arc<ValidationService>>>,
     dispatch: Dispatch<Queued>,
-    /// Merged statistics of every case ever served.
-    global: Mutex<PipelineStats>,
     started: Instant,
     draining: AtomicBool,
     connections: AtomicU64,
@@ -427,7 +494,6 @@ impl ServerInner {
             cache: CompileCache::shared(),
             store,
             services: Mutex::new(HashMap::new()),
-            global: Mutex::new(PipelineStats::default()),
             started: Instant::now(),
             draining: AtomicBool::new(false),
             connections: AtomicU64::new(0),
@@ -484,7 +550,7 @@ impl ServerInner {
         // One clock reading for both: the served tally merges per-case
         // stats, which carry no wall time, so its wall time is the uptime.
         let uptime = self.started.elapsed();
-        let mut served = self.global.lock().clone();
+        let (mut served, tenants) = self.dispatch.snapshot();
         served.wall_time = uptime;
         ServerStats {
             uptime_ms: uptime.as_millis().min(u64::MAX as u128) as u64,
@@ -508,45 +574,39 @@ impl ServerInner {
                     misses: stats.misses,
                 }
             }),
-            tenants: self.dispatch.snapshot(),
+            tenants,
         }
     }
 }
 
-/// One validation worker: pull fairly, process, stream the result.
+/// One validation worker: pull fairly, process, stream the result. Its
+/// only shared locks are the dispatch, once per case (twice when it sends
+/// a `JOB_DONE`), and the writer.
 fn worker_loop(inner: Arc<ServerInner>) {
-    let mut answered = false;
-    while let Some(case) = inner.dispatch.next(answered) {
-        let job = case.job;
-        if !job.cancelled.load(Ordering::Acquire) {
-            // One case's counters, merged into its job and into the
-            // daemon's tally alike.
-            let counted = Mutex::new(PipelineStats {
-                submitted: 1,
-                ..PipelineStats::default()
-            });
-            let record = job.service.process_case(&case.item, &counted);
-            let counted = counted.into_inner();
-            job.stats.lock().merge(&counted);
-            inner.global.lock().merge(&counted);
-            if !job.cancelled.load(Ordering::Acquire) {
-                let sent = job.writer.send(&Response::Record {
-                    job: job.id,
-                    seq: case.seq,
-                    record: encode_record(&record),
-                });
-                if !sent {
-                    cancel_job(&inner, &job);
-                }
-            }
-        }
-        inner.dispatch.finish(job.tenant);
-        // Order matters: the Record frame is on the wire before the case
-        // counts as completed, so JOB_DONE is always the last frame. The
-        // drain count drops in the next `next`, after JOB_DONE is sent.
-        job.completed.fetch_add(1, Ordering::AcqRel);
-        job.maybe_done(&inner.dispatch);
-        answered = true;
+    let mut next = inner.dispatch.next(None, |_| {});
+    while let Some(Queued { job, seq, item }) = next {
+        // One case's counters, merged into its job and into the served
+        // tally alike; none for a dead connection's case.
+        let counted = Mutex::new(PipelineStats::default());
+        let sent = !job.writer.failed.load(Ordering::Relaxed) && {
+            counted.lock().submitted = 1;
+            let record = job.service.process_case(&item, &counted);
+            job.writer.send(&Response::Record {
+                job: job.id,
+                seq,
+                record: encode_record(&record),
+            })
+        };
+        // The Record frame is on the wire before the answer counts the
+        // case completed, so JOB_DONE is always the job's last frame.
+        let answer = Answer {
+            job: job.at,
+            stats: counted.into_inner(),
+            sent,
+        };
+        next = inner
+            .dispatch
+            .next(Some(answer), |stats| job.send_done(stats));
     }
 }
 
@@ -591,8 +651,7 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
         server: inner.config.name.clone(),
     });
 
-    let mut tenant = None;
-    let mut jobs: HashMap<u32, Arc<JobState>> = HashMap::new();
+    let mut jobs: HashMap<u32, Arc<Job>> = HashMap::new();
     while let Some(request) = read_request(&mut reader, &mut buf) {
         match request {
             Request::Hello { .. } => {
@@ -608,49 +667,36 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
                     refuse(ErrorCode::Protocol, "job id reused");
                     break;
                 }
-                let tenant = *tenant.get_or_insert_with(|| inner.dispatch.tenant(&name));
-                inner.dispatch.lock().tenants[tenant].row.jobs_opened += 1;
-                jobs.insert(
-                    job,
-                    Arc::new(JobState {
-                        id: job,
-                        tenant,
-                        service: inner.service_for(&spec),
-                        writer: Arc::clone(&writer),
-                        stats: Mutex::new(PipelineStats::default()),
-                        started: Instant::now(),
-                        submitted: AtomicU64::new(0),
-                        completed: AtomicU64::new(0),
-                        ended: AtomicBool::new(false),
-                        cancelled: AtomicBool::new(false),
-                        done_sent: AtomicBool::new(false),
-                    }),
-                );
+                let opened = Job {
+                    at: inner.dispatch.open_job(&name),
+                    id: job,
+                    service: inner.service_for(&spec),
+                    writer: Arc::clone(&writer),
+                    started: Instant::now(),
+                };
+                jobs.insert(job, Arc::new(opened));
             }
             Request::Case { job, seq, item } => {
                 let Some(job) = jobs.get(&job) else {
                     refuse(ErrorCode::UnknownJob, "CASE for unopened job");
                     break;
                 };
-                if job.ended.load(Ordering::Acquire) {
-                    refuse(ErrorCode::Protocol, "CASE after FINISH_JOB");
-                    break;
-                }
-                job.submitted.fetch_add(1, Ordering::AcqRel);
                 let job = Arc::clone(job);
                 // This is the admission point: a full tenant queue blocks
                 // here, which stops draining this client's socket.
-                inner
-                    .dispatch
-                    .enqueue(job.tenant, Queued { job, seq, item });
+                if !inner.dispatch.enqueue(job.at, Queued { job, seq, item }) {
+                    refuse(ErrorCode::Protocol, "CASE after FINISH_JOB");
+                    break;
+                }
             }
             Request::FinishJob { job } => {
                 let Some(job) = jobs.get(&job) else {
                     refuse(ErrorCode::UnknownJob, "FINISH_JOB for unopened job");
                     break;
                 };
-                job.ended.store(true, Ordering::Release);
-                job.maybe_done(&inner.dispatch);
+                inner
+                    .dispatch
+                    .finish_job(job.at, |stats| job.send_done(stats));
             }
             Request::Stats => {
                 writer.send(&Response::StatsOk(inner.snapshot()));
@@ -677,12 +723,10 @@ fn serve_connection(inner: &Arc<ServerInner>, conn: Box<dyn Conn>) {
         }
     }
 
-    // Whatever ends the connection, unfinished jobs die with it.
-    for job in jobs.values() {
-        if !job.done_sent.load(Ordering::Acquire) {
-            cancel_job(inner, job);
-        }
-    }
+    // Whatever ends the connection, unfinished jobs die with it: their
+    // in-flight results are discarded and their queued cases purged.
+    writer.failed.store(true, Ordering::Relaxed);
+    inner.dispatch.cancel(jobs.values().map(|job| job.at));
 }
 
 /// Read and decode one request; `None` ends the connection (clean EOF,
@@ -729,7 +773,7 @@ impl Server {
         let inner = Arc::clone(&server.inner);
         server.acceptor = Some(std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if inner.dispatch.lock().stopped {
+                if inner.dispatch.stopped() {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -819,26 +863,47 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// Stats of `cases` processed cases.
+    fn counted(cases: usize) -> PipelineStats {
+        PipelineStats {
+            submitted: cases,
+            ..PipelineStats::default()
+        }
+    }
+
+    /// A worker's answer for a case of `job` it processed and sent.
+    fn answered(job: JobRef) -> Option<Answer> {
+        Some(Answer {
+            job,
+            stats: counted(1),
+            sent: true,
+        })
+    }
+
+    /// The `send_done` of a step that must not end a job.
+    fn no_job_done(stats: PipelineStats) {
+        panic!("unexpected JOB_DONE {stats:?}");
+    }
+
     #[test]
     fn fifo_order_within_the_budget() {
         let dispatch = Dispatch::new(8, 2);
-        let t = dispatch.tenant("t");
+        let t = dispatch.open_job("t");
         for n in 0..4u32 {
             dispatch.enqueue(t, n);
         }
-        assert_eq!(dispatch.next(false), Some(0));
-        assert_eq!(dispatch.next(false), Some(1));
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
+        assert_eq!(dispatch.next(None, no_job_done), Some(1));
         // Budget of 2 exhausted: nothing more until a case completes.
         assert!(dispatch.lock().pick(dispatch.max_in_flight).is_none());
-        dispatch.finish(t);
-        assert_eq!(dispatch.next(true), Some(2));
-        assert_eq!(dispatch.snapshot()[0].submitted, 4);
+        assert_eq!(dispatch.next(answered(t), no_job_done), Some(2));
+        assert_eq!(dispatch.snapshot().1[0].submitted, 4);
     }
 
     #[test]
     fn a_full_queue_blocks_the_enqueuer_until_space_frees() {
         let dispatch = Arc::new(Dispatch::new(2, 8));
-        let t = dispatch.tenant("t");
+        let t = dispatch.open_job("t");
         dispatch.enqueue(t, 0u32);
         dispatch.enqueue(t, 1);
         let blocked = {
@@ -847,28 +912,121 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
-            dispatch.snapshot()[0].queued,
+            dispatch.snapshot().1[0].queued,
             2,
             "third enqueue must be blocked"
         );
         assert_eq!(dispatch.lock().pending, 3, "a blocked case already counts");
-        assert_eq!(dispatch.next(false), Some(0));
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
         blocked.join().unwrap();
-        assert_eq!(dispatch.snapshot()[0].queued, 2);
+        assert_eq!(dispatch.snapshot().1[0].queued, 2);
     }
 
     #[test]
     fn purge_counts_cancellations_and_frees_space() {
         let dispatch = Dispatch::new(8, 8);
-        let t = dispatch.tenant("t");
+        let (kept, cancelled) = (dispatch.open_job("t"), dispatch.open_job("t"));
         for n in 0..6u32 {
-            dispatch.enqueue(t, n);
+            dispatch.enqueue(if n % 2 == 0 { kept } else { cancelled }, n);
         }
-        let removed = dispatch.purge(t, |n| n % 2 == 0);
+        let removed = dispatch.cancel([cancelled]);
         assert_eq!(removed, 3);
-        let row = &dispatch.snapshot()[0];
+        let row = &dispatch.snapshot().1[0];
         assert_eq!(row.queued, 3);
         assert_eq!(row.cancelled, 3);
         assert_eq!(dispatch.lock().pending, 3, "purged cases count answered");
+    }
+
+    #[test]
+    fn job_done_is_decided_once_when_finish_job_precedes_the_last_answer() {
+        let dispatch = Dispatch::new(8, 8);
+        let (job, other) = (dispatch.open_job("t"), dispatch.open_job("t"));
+        dispatch.enqueue(job, 0u32);
+        dispatch.enqueue(job, 1);
+        dispatch.enqueue(other, 10);
+        dispatch.enqueue(other, 11);
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
+        assert_eq!(dispatch.next(None, no_job_done), Some(1));
+        assert_eq!(dispatch.next(answered(job), no_job_done), Some(10));
+        dispatch.finish_job(job, no_job_done);
+        assert!(!dispatch.enqueue(job, 2), "no case after FINISH_JOB");
+        // The last answer sends JOB_DONE outside the lock, with the case's
+        // drain slot still held.
+        let mut sent = None;
+        let next = dispatch.next(answered(job), |stats| {
+            assert_eq!(dispatch.lock().pending, 3);
+            sent = Some(stats);
+        });
+        assert_eq!((next, sent), (Some(11), Some(counted(2))));
+        assert_eq!(dispatch.lock().pending, 2);
+        dispatch.finish_job(job, no_job_done);
+        let (served, rows) = dispatch.snapshot();
+        assert_eq!(served, counted(2));
+        assert_eq!((rows[0].jobs_opened, rows[0].jobs_finished), (2, 1));
+    }
+
+    #[test]
+    fn job_done_is_decided_once_when_finish_job_follows_the_last_answer() {
+        let dispatch = Dispatch::new(8, 8);
+        let (job, other) = (dispatch.open_job("t"), dispatch.open_job("t"));
+        dispatch.enqueue(job, 0u32);
+        dispatch.enqueue(other, 10);
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
+        // Not finished yet: answering every case decides nothing.
+        assert_eq!(dispatch.next(answered(job), no_job_done), Some(10));
+        let mut sent = None;
+        dispatch.finish_job(job, |stats| {
+            assert_eq!(dispatch.lock().pending, 2, "the JOB_DONE holds a slot");
+            sent = Some(stats);
+        });
+        assert_eq!(sent, Some(counted(1)));
+        assert_eq!(dispatch.lock().pending, 1);
+        dispatch.finish_job(job, no_job_done);
+        assert_eq!(dispatch.snapshot().1[0].jobs_finished, 1);
+    }
+
+    #[test]
+    fn a_cancelled_job_never_gets_job_done() {
+        let dispatch = Dispatch::new(8, 8);
+        let job = dispatch.open_job("t");
+        for n in 0..4u32 {
+            dispatch.enqueue(job, n);
+        }
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
+        dispatch.finish_job(job, no_job_done);
+        assert_eq!(dispatch.cancel([job]), 3);
+        assert_eq!(dispatch.lock().pending, 1, "purged cases count answered");
+        // The in-flight case's answer is the last one, yet decides nothing.
+        dispatch.stop();
+        assert_eq!(dispatch.next(answered(job), no_job_done), None);
+        assert_eq!(dispatch.lock().pending, 0);
+        let (served, rows) = dispatch.snapshot();
+        assert_eq!(served, counted(1));
+        let row = &rows[0];
+        assert_eq!((row.queued, row.in_flight), (0, 0));
+        assert_eq!((row.completed, row.cancelled), (1, 3));
+        assert_eq!(row.jobs_finished, 0);
+    }
+
+    #[test]
+    fn an_unsent_case_cancels_its_job() {
+        let dispatch = Dispatch::new(8, 8);
+        let (job, other) = (dispatch.open_job("t"), dispatch.open_job("t"));
+        for n in 0..3u32 {
+            dispatch.enqueue(job, n);
+        }
+        dispatch.enqueue(other, 10);
+        assert_eq!(dispatch.next(None, no_job_done), Some(0));
+        let dead = Answer {
+            job,
+            stats: PipelineStats::default(),
+            sent: false,
+        };
+        assert_eq!(dispatch.next(Some(dead), no_job_done), Some(10));
+        assert!(!dispatch.enqueue(job, 3), "a cancelled job takes no case");
+        dispatch.finish_job(job, no_job_done);
+        assert_eq!(dispatch.lock().pending, 1);
+        let row = &dispatch.snapshot().1[0];
+        assert_eq!((row.completed, row.cancelled), (1, 2));
     }
 }

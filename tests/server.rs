@@ -20,8 +20,8 @@
 //!    is refused at startup, and a store that cannot be sealed is reported
 //!    instead of acknowledged;
 //! 6. **Live stats** — the `STATS` snapshot accounts every served case to
-//!    the right tenant, has a row only for tenants that opened a job, and
-//!    reports the uptime as the served wall time;
+//!    the right tenant, even mid-run, has a row only for tenants that
+//!    opened a job, and reports the uptime as the served wall time;
 //! 7. **No transport stalls** — small jobs over TCP never wait on a
 //!    delayed ACK.
 //!
@@ -530,6 +530,57 @@ fn the_stats_snapshot_accounts_every_served_case() {
     server.handle().shutdown().expect("store seals");
     server.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_live_snapshot_counts_each_served_case_once() {
+    // A worker merges a case's stats into the served tally and counts it
+    // completed in its tenant's row in one step, so no snapshot taken
+    // while jobs run can see one without the other.
+    let size = scale(120, 1500);
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let tenants: Vec<_> = ["left", "right"]
+        .into_iter()
+        .enumerate()
+        .map(|(t, name)| {
+            let conn = server.connect();
+            let items = corpus(DirectiveModel::OpenAcc, 0x5AFE + t as u64, size);
+            std::thread::spawn(move || {
+                let mut client = Client::over(Box::new(conn), name).expect("handshake");
+                client
+                    .submit(JobSpec::default(), items)
+                    .expect("submit")
+                    .into_run()
+                    .expect("campaign")
+            })
+        })
+        .collect();
+    let mut observer = Client::over(Box::new(server.connect()), "observer").expect("handshake");
+    let mut snapshots = 0;
+    loop {
+        let running = tenants.iter().any(|tenant| !tenant.is_finished());
+        let snapshot = observer.stats().expect("STATS_OK");
+        let completed: u64 = snapshot.tenants.iter().map(|row| row.completed).sum();
+        assert_eq!(snapshot.served.submitted as u64, completed, "{snapshot}");
+        snapshots += 1;
+        if !running {
+            break;
+        }
+    }
+    for tenant in tenants {
+        assert_eq!(tenant.join().expect("tenant thread").records.len(), size);
+    }
+    let snapshot = observer.stats().expect("STATS_OK");
+    assert_eq!(snapshot.served.submitted, 2 * size);
+    assert!(snapshots > 1, "no snapshot was taken while the jobs ran");
+
+    drop(observer);
+    server.handle().shutdown().expect("store seals");
+    server.join();
 }
 
 #[test]
